@@ -13,11 +13,13 @@ sha256 of every discovered spec.  The full record, and with ``--trace
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import pathlib
 import platform
 import shutil
+import statistics
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -64,25 +66,25 @@ def main(argv=None):
     print(json.dumps({"host": record["host"]}))
 
     envs = []
-    probe = None if args.trace else speed.SpeedProbe()
+    # the host-speed sampler's timer would land inside traced spans
+    sampler = speed.Sampler()
     try:
-        setup_clocks = []
-        for _ in range(workloads.SETUP_REPEATS):
-            if probe is not None:
-                probe.sample()
-            checks = workloads.Checks()  # only the set-up that is used counts
-            with speed.Clock() as clock:
-                envs.append(workloads.setup(workload, args.seed, str(scratch), checks, OUT))
-            setup_clocks.append(clock)
-        env = envs[-1]
-        tracer = trace.Tracer() if args.trace else None
-        if tracer is not None:
-            tracer.install()
-        try:
-            results = workloads.timed(workload, env, args.seconds, tracer, checks, probe)
-        finally:
+        with contextlib.nullcontext() if args.trace else sampler:
+            setup_clocks = []
+            for _ in range(workloads.SETUP_REPEATS):
+                checks = workloads.Checks()  # only the set-up that is used counts
+                with speed.Clock() as clock:
+                    envs.append(workloads.setup(workload, args.seed, str(scratch), checks, OUT))
+                setup_clocks.append(clock)
+            env = envs[-1]
+            tracer = trace.Tracer() if args.trace else None
             if tracer is not None:
-                tracer.restore()
+                tracer.install()
+            try:
+                results = workloads.timed(workload, env, args.seconds, tracer, checks)
+            finally:
+                if tracer is not None:
+                    tracer.restore()
         shard_bytes = dict.fromkeys(("cold", "warm"), workloads.dir_bytes(env.cache_dir))
         workloads.verify(workload, env, results, checks)
         hashes = {f"{stage}:{target}": workloads.spec_hash(report.spec)
@@ -92,15 +94,15 @@ def main(argv=None):
             print(f"spec {op} sha256={digest}")
         correct = True
         if tracer is None:
-            probe.sample()
-            factor = probe.factor()
-            metrics = workloads.end_to_end(
-                setup_clocks, results, lambda clock: speed.normalised(clock, factor)
-            )
-            record["host_speed"] = {"factor": factor, "reference_s": probe.samples}
+            metrics = workloads.end_to_end(setup_clocks, results, sampler.normalised)
+            seconds = [s for _, s in sampler.samples]
+            record["host_speed"] = {
+                "samples": len(seconds),
+                "reference_s": statistics.quantiles(seconds, n=10) if len(seconds) > 1 else seconds,
+            }
             record["raw_wall_metrics"] = {
                 name: value for name, (value, _) in
-                workloads.end_to_end(setup_clocks, results, lambda clock: clock.wall).items()
+                workloads.end_to_end(setup_clocks, results, sampler.raw).items()
             }
             _, percentile, samples = workloads.tail([c.wall for c in results.programs])
             record["program_ms_tail"] = {"percentile": percentile, "samples": samples}

@@ -178,13 +178,45 @@ def test_benchmark_json_lists_what_the_code_reports():
                                 programs=[clock(0.1)] * 20, target_verbs=3, exec_steps=4,
                                 code_size=5)
     # a host twice as slow as nominal: CPU seconds halve, waiting stays
-    reported = workloads.end_to_end([clock(0.5)], results,
-                                    lambda clock: speed.normalised(clock, 0.5))
+    sampler = speed.Sampler()
+    sampler.samples = [(-1.0, 2 * speed.NOMINAL_S)]
+    reported = workloads.end_to_end([clock(0.5)], results, sampler.normalised)
     assert reported["warm_s"] == (1.5, "s")
     assert reported["programs_per_s"][0] == pytest.approx(20.0)
     assert [(m["name"], m["unit"]) for m in BENCHMARK["end_to_end"]] == [
         (name, unit) for name, (_, unit) in reported.items()
     ]
+
+
+def test_samples_inside_an_operation_rescale_it():
+    def clock(start, wall, cpu):
+        out = speed.Clock()
+        out.start, out.wall, out.cpu = start, wall, cpu
+        return out
+
+    n = speed.NOMINAL_S
+    sampler = speed.Sampler()
+    sampler.samples = [(0.5, n), (1.2, 2 * n), (1.5, 4 * n), (3.0, n)]
+    # two samples inside: their time is the sampler's, not the operation's,
+    # and the mean of their rates (1 and 1/2) rescales the CPU part
+    op = clock(1.0, 1.0, 0.5)
+    assert sampler.within(op) == sampler.samples[1:3]
+    assert sampler.raw(op) == pytest.approx(1.0 - 6 * n)
+    assert sampler.normalised(op) == pytest.approx(0.5 + (0.5 - 6 * n) * (1 / 2 + 1 / 4) / 2)
+    # none inside: the nearest sample on each side gives the rate
+    assert sampler.normalised(clock(2.0, 0.5, 0.5)) == pytest.approx(0.5 * (1 / 4 + 1) / 2)
+
+
+def test_sampler_samples_cpu_work_and_restores_the_handler():
+    import signal
+
+    before = signal.getsignal(signal.SIGPROF)
+    with speed.Sampler() as sampler, speed.Clock() as clock:
+        speed.reference(2_000_000)
+    assert signal.getsignal(signal.SIGPROF) is before
+    assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+    assert len(sampler.within(clock)) >= 3
+    assert 0 < sampler.raw(clock) < clock.wall
 
 
 def test_tail_has_ten_samples_beyond_it():

@@ -8,7 +8,7 @@ metric is defined on each workload:
   ``backend`` each program's first run through its generated back end.
 * ``warm`` -- the same job again, reusing only what the product keeps:
   ``discover`` and ``remote`` rediscover from the cache directory with a
-  new ``ProbeCache``, new machines and a new ``ArchitectureDiscovery`` (``remote`` five
+  new ``ProbeCache``, new machines and a new ``ArchitectureDiscovery`` (``remote`` three
   times; ``warm_s`` is the median pass); ``backend`` reruns each program
   back to back for an equal share of ``--seconds`` (``warm_s`` is the
   program set at each program's median warm run).
@@ -20,8 +20,7 @@ metric is defined on each workload:
 ``discover`` and ``remote`` go target by target: cold, then chunks of
 the programs and the warm passes in turn.  So each stage's operations
 spread over the whole run instead of sitting in one stretch of a noisy
-host's time, where the run's host-speed factor (see
-:mod:`perfbench.speed`) would fit them less well.
+host's time.
 
 Reference outputs, spec verification and the trace's cross-check
 against the discovery's own phase clock happen outside the timed stages.
@@ -35,9 +34,11 @@ import os
 import pathlib
 import pickle
 import resource
+import signal
 import statistics
 import tempfile
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import repro
@@ -101,14 +102,14 @@ WORKLOADS = {
         # latency 0; warm: cache reads and reverse interpretation, with
         # no remote verb.  Five targets, because one target's cold time
         # swings far more from run to run than their sum does.
-        Workload("discover", ("x86", "mips", "sparc", "alpha", "vax"), rungs=(3000,) * 8),
+        Workload("discover", ("x86", "mips", "sparc", "alpha", "vax"), rungs=(3000,) * 16),
         # Round trips and the overlap of two workers' 2 ms waits
         # dominate: the one place a batched probe verb or a scheduler
         # change shows.  Back-to-back warm passes of one target with two
-        # workers differ by up to 1.6 times, so warm_s is the median of
-        # five.
+        # workers differ by up to 1.6 times in raw time, so warm_s is the
+        # median of three.
         Workload("remote", ("x86",), latency=0.002, workers=2, rungs=(3000,) * 40,
-                 warm_passes=5),
+                 warm_passes=3),
         # Long generated loops: the executor's per-step cost dominates,
         # where in discovery thousands of tiny probes make per-call cost
         # dominate instead.
@@ -152,11 +153,6 @@ def _discovery_failures(report):
     if errors:
         reasons.append(f"{errors} speclint errors")
     return reasons
-
-
-def _sample(probe):
-    if probe is not None:
-        probe.maybe_sample()
 
 
 def _region(tracer, name, stage, op=None):
@@ -219,23 +215,48 @@ def backend_specs(workload, checks, spec_dir):
     They are a pure function of the product's source, so the first run in
     a checkout discovers them (about 18 s) and stores them under
     *spec_dir*, keyed by the source's hash, like a build; later runs load
-    them.  Specs whose discovery failed a check are not stored."""
+    them.  The discovery runs in a child process, so that the first run's
+    ``peak_rss_mb`` is not discovery's.  Specs whose discovery failed a
+    check are not stored."""
     path = pathlib.Path(spec_dir) / f"specs-{_source_key(workload)}.pickle"
     if path.exists():
         with open(path, "rb") as handle:
-            return pickle.load(handle)  # written by this benchmark, below
-    specs, ok = {}, True
+            specs, _ = pickle.load(handle)  # written by this benchmark, below
+        return specs
+    partial = path.with_suffix(".partial")
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            specs, failures = {}, {}
+            for target in workload.targets:
+                report = _discover(RemoteMachine(target), workload, None)
+                failures[target] = _discovery_failures(report)
+                specs[target] = report.spec
+            with open(partial, "wb") as handle:
+                pickle.dump((specs, failures), handle)
+            status = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(status)  # the parent's cleanup and buffers are the parent's
+    try:
+        _, status = os.waitpid(pid, 0)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    if status:
+        raise RuntimeError(f"backend spec discovery exited with status {status:#x}")
+    with open(partial, "rb") as handle:
+        specs, failures = pickle.load(handle)  # written by the child, above
     for target in workload.targets:
         op = checks.attempt(f"setup:{target}")
-        report = _discover(RemoteMachine(target), workload, None)
-        for reason in _discovery_failures(report):
+        for reason in failures[target]:
             checks.fail(op, reason)
-            ok = False
-        specs[target] = report.spec
-    if ok:
-        partial = path.with_suffix(".partial")
-        with open(partial, "wb") as handle:
-            pickle.dump(specs, handle)
+    if any(failures.values()):
+        os.remove(partial)
+    else:
         os.replace(partial, path)  # a killed run leaves no torn file behind
     return specs
 
@@ -260,10 +281,9 @@ class Results:
     code_size: int = 0
 
 
-def discovery(workload, env, stage, target, tracer, checks, results, probe=None, index=None):
+def discovery(workload, env, stage, target, tracer, checks, results, index=None):
     """Discover one target (in warm pass *index*); returns the report and
     the clock.  The report is None if discovery raised."""
-    _sample(probe)
     if index is None:
         label, machine = target, env.machines[stage, target]
     else:
@@ -291,15 +311,13 @@ def discovery(workload, env, stage, target, tracer, checks, results, probe=None,
     return report, clock
 
 
-def program_runs(env, target, backend, stage, tracer, checks, results, index=0, probe=None,
-                 programs=None):
+def program_runs(env, target, backend, stage, tracer, checks, results, index=0, programs=None):
     """The program set (or *programs* of it) on one back end, each from
     source text to target output; returns the runs' clocks."""
     machine = env.machines["programs", target]
     bits = build_model(target).isa.word_bits
     clocks = []
     for program in env.programs if programs is None else programs:
-        _sample(probe)
         op = checks.attempt(f"{stage}:{target}:{program.name}:{index}")
         asm, result = "", None
         with _region(tracer, op, stage, f"{stage}:{target}"), speed.Clock() as clock:
@@ -322,9 +340,9 @@ def program_runs(env, target, backend, stage, tracer, checks, results, index=0, 
     return clocks
 
 
-def timed(workload, env, seconds, tracer, checks, probe=None):
+def timed(workload, env, seconds, tracer, checks):
     """The timed stages; each operation is one benchmark-owned root span
-    when traced, and *probe* samples host speed between operations."""
+    when traced."""
     results = Results()
     if workload.discovers:
         # Target by target: cold, then program chunks and warm passes in
@@ -334,8 +352,7 @@ def timed(workload, env, seconds, tracer, checks, probe=None):
         chunks = [env.programs[i * n // parts:(i + 1) * n // parts] for i in range(parts)]
         results.warm = [[] for _ in range(workload.warm_passes)]
         for target in workload.targets:
-            report, clock = discovery(workload, env, "cold", target, tracer, checks, results,
-                                      probe)
+            report, clock = discovery(workload, env, "cold", target, tracer, checks, results)
             results.cold.append(clock)
             backend = None
             if report is None:
@@ -348,10 +365,10 @@ def timed(workload, env, seconds, tracer, checks, probe=None):
             for index, chunk in enumerate(chunks):
                 if backend is not None:
                     program_runs(env, target, backend, "programs", tracer, checks, results,
-                                 probe=probe, programs=chunk)
+                                 programs=chunk)
                 if index < workload.warm_passes:
                     _, clock = discovery(workload, env, "warm", target, tracer, checks, results,
-                                         probe, index)
+                                         index)
                     results.warm[index].append(clock)
         results.target_verbs = sum(
             r.machine_stats.total_verbs for (s, _), r in results.reports.items() if s == "cold"
@@ -368,12 +385,12 @@ def timed(workload, env, seconds, tracer, checks, probe=None):
         for program in env.programs:
             verbs = machine.stats.total_verbs
             results.cold += program_runs(env, target, backend, "cold", tracer, checks, results,
-                                         probe=probe, programs=[program])
+                                         programs=[program])
             results.target_verbs += machine.stats.total_verbs - verbs
             start, runs = time.perf_counter(), []
             while len(runs) < 1 or time.perf_counter() - start < share:
                 runs += program_runs(env, target, backend, "warm", tracer, checks, results,
-                                     len(runs) + 1, probe, [program])
+                                     len(runs) + 1, [program])
             results.warm.append(runs)
     return results
 
