@@ -38,7 +38,9 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+from repro.counters import Counters
 from repro.errors import AssemblerError, LinkerError
+from repro.machines import machine as facade
 
 #: bump when the entry payload schema changes: old entries must miss
 CACHE_FORMAT = 1
@@ -78,11 +80,6 @@ def target_fingerprint(machine):
     toolchain command lines and execution fuel.  Changing any toolchain
     flag changes the fingerprint, invalidating every cached answer."""
     toolchain = machine.toolchain
-    fuel = None
-    probe = machine
-    while probe is not None and fuel is None:
-        fuel = getattr(probe, "fuel", None)
-        probe = getattr(probe, "inner", None)
     return _hash_text(
         f"format={CACHE_FORMAT}",
         machine.target,
@@ -90,12 +87,12 @@ def target_fingerprint(machine):
         toolchain.cc,
         toolchain.asm,
         toolchain.ld,
-        f"fuel={fuel}",
+        f"fuel={facade.layer_attr(machine, 'fuel')}",
     )[:16]
 
 
 @dataclass
-class CacheStats:
+class CacheStats(Counters):
     """Counters the driver surfaces in the DiscoveryReport."""
 
     hits: int = 0
@@ -106,18 +103,6 @@ class CacheStats:
     loaded: int = 0
     hits_by_verb: dict = field(default_factory=dict)
     misses_by_verb: dict = field(default_factory=dict)
-
-    def snapshot(self):
-        return CacheStats(
-            self.hits,
-            self.misses,
-            self.writes,
-            self.evictions,
-            self.corrupt_entries,
-            self.loaded,
-            dict(self.hits_by_verb),
-            dict(self.misses_by_verb),
-        )
 
     @property
     def lookups(self):
@@ -472,7 +457,7 @@ class _LazyExecutable:
         return f"<a.out {self.content_hash[:8]} {state}>"
 
 
-class CachingMachine:
+class CachingMachine(facade.MachineLayer):
     """The standard four-verb surface, answered from the cache first.
 
     Sits *outermost* in a connection stack -- above retry / voting /
@@ -485,7 +470,7 @@ class CachingMachine:
     """
 
     def __init__(self, machine, cache):
-        self.inner = machine
+        super().__init__(machine)
         self.cache = cache
         self.fingerprint = target_fingerprint(machine)
 
@@ -493,28 +478,6 @@ class CachingMachine:
         """A parallel connection sharing this cache (the cache itself is
         thread-safe; one store serves the whole worker pool)."""
         return CachingMachine(self.inner.clone_connection(index), self.cache)
-
-    # -- passthrough surface ------------------------------------------
-
-    @property
-    def target(self):
-        return self.inner.target
-
-    @property
-    def toolchain(self):
-        return self.inner.toolchain
-
-    @property
-    def stats(self):
-        return self.inner.stats
-
-    @property
-    def policy(self):
-        return getattr(self.inner, "policy", None)
-
-    @property
-    def fault_stats(self):
-        return getattr(self.inner, "fault_stats", None)
 
     # -- the four remote verbs ----------------------------------------
 
@@ -544,13 +507,6 @@ class CachingMachine:
             raise
         self.cache.put(self.fingerprint, "assemble", content, {"ok": True})
         return _LazyObject(content, asm_text, real=real)
-
-    def assembles_ok(self, asm_text):
-        try:
-            self.assemble(asm_text)
-        except AssemblerError:
-            return False
-        return True
 
     def link(self, objects):
         for handle in objects:
@@ -610,16 +566,6 @@ class CachingMachine:
         if exe.real is None:
             exe.real = self.inner.link([self._materialise(obj) for obj in exe.parts])
         return exe.real
-
-    # -- conveniences --------------------------------------------------
-
-    def run_c(self, sources, headers=None):
-        objects = [self.assemble(self.compile_c(src, headers)) for src in sources]
-        return self.execute(self.link(objects))
-
-    def run_asm(self, asm_texts):
-        objects = [self.assemble(text) for text in asm_texts]
-        return self.execute(self.link(objects))
 
 
 def make_caching(machine, cache):

@@ -75,6 +75,7 @@ from repro.discovery.sizing import choose_workers, sample_verb_latency, sizing_r
 from repro.discovery.syntax import DiscoveredSyntax
 from repro.discovery.synthesize import Synthesizer
 from repro.errors import DiscoveryError, TargetError
+from repro.machines import machine as facade
 
 #: per-sample phases translate these into quarantine instead of aborting
 _QUARANTINE_ERRORS = (DiscoveryError, TargetError)
@@ -334,8 +335,8 @@ class ArchitectureDiscovery:
         workers = 1 if self.adaptive_workers else int(workers)
         self.workers = max(1, workers)
         # The primary connection serves the sequential phases; workers
-        # get one cloned connection each (per-connection counters, fault
-        # plans and retry state -- aggregated again in _finalise).
+        # get one cloned connection each (own fault plan and retry
+        # state, counting into the primary's counters).
         pool_size = self.workers + 1 if self.workers > 1 else 1
         self.pool, self._pool_note = TargetConnectionPool.open(self.machine, pool_size)
         self.scheduler = ProbeScheduler(self.pool, self.workers)
@@ -412,7 +413,7 @@ class ArchitectureDiscovery:
                     # results are already merged, so the checkpoint's
                     # report holds no in-flight work, and the cache has
                     # every answer that came back (write-through).
-                    state["scheduler"] = self.scheduler.stats.snapshot()
+                    state["scheduler"] = self.scheduler.stats.copy()
                     if self.cache is not None:
                         state["cache"] = self.cache.describe()
                     checkpoint = self._checkpoint()
@@ -453,12 +454,16 @@ class ArchitectureDiscovery:
     def _finalise(self, report):
         if report.spec is not None:
             report.spec.phase_timings = report.phase_timings
-        report.machine_stats = self.pool.aggregate_machine_stats()
-        report.retry_stats = self.pool.aggregate_retry_stats()
-        report.fault_stats = self.pool.aggregate_fault_stats()
-        report.scheduler_stats = self.scheduler.stats.snapshot()
+        # Every clone counts into its primary's counters, so the
+        # primary stack's counters cover the whole pool.
+        report.machine_stats = self.machine.stats.copy()
+        policy = facade.layer_attr(self.machine, "policy")
+        report.retry_stats = policy.stats.copy() if policy is not None else None
+        fault_stats = facade.layer_attr(self.machine, "fault_stats")
+        report.fault_stats = fault_stats.copy() if fault_stats is not None else None
+        report.scheduler_stats = self.scheduler.stats.copy()
         if self.cache is not None:
-            report.cache_stats = self.cache.stats.snapshot()
+            report.cache_stats = self.cache.stats.copy()
         if report.corpus is not None:
             report.quarantined = [
                 {"sample": s.name, "reason": s.discarded}
@@ -509,9 +514,8 @@ class ArchitectureDiscovery:
     def _resize_scheduler(self, workers):
         """Tear down the connection pool and scheduler and rebuild them
         at the new width.  Safe between phases: the scheduler is always
-        drained at phase boundaries, and aggregate counters are read
-        from the pool only in :meth:`_finalise` (the new pool re-wraps
-        the same underlying machine stack, so cache and retry state
+        drained at phase boundaries, and the new pool's clones count
+        into the same primary stack (so cache, counters and retry state
         carry over untouched)."""
         workers = max(1, int(workers))
         if workers == self.workers:

@@ -43,13 +43,11 @@ checksummed envelope: the checkpoint holds live analysis objects
 whose fidelity is what makes the resumed spec identical, and the codec
 encodes them as deterministic, closed-world tagged JSON so *any* worker
 on *any* build can adopt the run -- the property the campaign
-supervisor's crash adoption rests on.  Schema-1 generations (the
-pickle era, one release back) are still readable: the loader falls back
-to :mod:`pickle` with a warning and bumps :data:`LEGACY_PICKLE_LOADS`
-so tests can pin that the happy path performs **zero** pickle loads;
-``repro migrate-run`` rewrites such a directory in place.  Target
-connections are *not* serialised -- the codec excludes them and the
-driver rebinds the corpus to its freshly opened connection on resume;
+supervisor's crash adoption rests on.  Nothing is ever unpickled: a
+generation of any other schema, including the pickle-era schema 1, is
+skipped with a warning like any foreign one.  Target connections are
+*not* serialised -- the codec excludes them and the driver rebinds the
+corpus to its freshly opened connection on resume;
 :func:`machine_from_config` rebuilds the same connection stack (fault
 plan, latency, fuel) from ``run.json``.
 """
@@ -61,24 +59,16 @@ import io
 import json
 import os
 import pathlib
-import pickle
 import tempfile
 from contextlib import contextmanager
 
 from repro.discovery import portable
 from repro.errors import DiscoveryError
+from repro.machines import machine as facade
 
 #: bump when the checkpoint payload layout changes.  Schema 2 is the
-#: portable structured codec; schema 1 (pickle) is readable for one
-#: release via the legacy fallback, anything else is foreign.
+#: portable structured codec; anything else is foreign.
 CHECKPOINT_SCHEMA = 2
-
-#: the last schema whose payload was pickle; readable but counted
-LEGACY_PICKLE_SCHEMA = 1
-
-#: incremented on every pickle-fallback load -- the chaos tests assert
-#: this stays zero on the happy path
-LEGACY_PICKLE_LOADS = 0
 
 #: first bytes of every checkpoint generation
 MAGIC = b"repro-checkpoint\n"
@@ -137,16 +127,14 @@ def run_config(discovery):
         config["cache_dir"] = str(cache.directory)
     if cache is not None and getattr(cache, "url", None) is not None:
         config["cache_url"] = str(cache.url)
-    layer = discovery.machine
-    while layer is not None:
-        plan = getattr(layer, "plan", None)
-        if plan is not None and hasattr(plan, "rate"):
-            config["flaky"] = plan.rate
-            config["fault_seed"] = plan.seed
-        if getattr(layer, "latency", None) is not None and hasattr(layer, "fuel"):
-            config["latency"] = layer.latency
-            config["fuel"] = layer.fuel
-        layer = getattr(layer, "inner", None)
+    plan = facade.layer_attr(discovery.machine, "plan")
+    if plan is not None:
+        config["flaky"] = plan.rate
+        config["fault_seed"] = plan.seed
+    fuel = facade.layer_attr(discovery.machine, "fuel")
+    if fuel is not None:
+        config["latency"] = facade.layer_attr(discovery.machine, "latency")
+        config["fuel"] = fuel
     return config
 
 
@@ -245,47 +233,23 @@ def parse_envelope(blob):
     return header, payload
 
 
-def generation_schema(blob):
-    """The schema version a generation claims in its header, or None
-    when the header is unreadable (callers that care about validity use
-    :func:`parse_envelope`)."""
-    if not blob.startswith(MAGIC):
-        return None
-    try:
-        return json.loads(blob[len(MAGIC) :].split(b"\n", 1)[0]).get("schema")
-    except ValueError:
-        return None
-
-
 def thaw_checkpoint(blob):
-    """Validate and deserialise one checkpoint generation.  Raises
-    :class:`CheckpointCorrupt` on any defect; the caller falls back.
-
-    Schema 2 payloads decode through the portable codec (no pickle
-    involved); schema 1 -- the previous release's pickle body -- still
-    loads, but bumps :data:`LEGACY_PICKLE_LOADS` so the zero-pickle
-    guarantee stays testable."""
-    global LEGACY_PICKLE_LOADS
+    """Validate and deserialise one checkpoint generation through the
+    portable codec.  Raises :class:`CheckpointCorrupt` on any defect,
+    including a schema other than :data:`CHECKPOINT_SCHEMA`; the caller
+    falls back."""
     from repro.discovery.driver import DiscoveryCheckpoint
 
     header, payload = parse_envelope(blob)
     schema = header.get("schema")
-    if schema == CHECKPOINT_SCHEMA:
-        try:
-            data = portable.loads(payload)
-        except portable.PortableError as exc:
-            raise CheckpointCorrupt(f"payload does not decode: {exc}") from exc
-    elif schema == LEGACY_PICKLE_SCHEMA:
-        try:
-            data = pickle.loads(payload)
-        except Exception as exc:  # torn pickle inside a valid envelope
-            raise CheckpointCorrupt(f"payload does not unpickle: {exc}") from exc
-        LEGACY_PICKLE_LOADS += 1
-    else:
+    if schema != CHECKPOINT_SCHEMA:
         raise CheckpointCorrupt(
-            f"schema version {schema!r} (this build reads "
-            f"{CHECKPOINT_SCHEMA}, legacy {LEGACY_PICKLE_SCHEMA})"
+            f"schema version {schema!r} (this build reads {CHECKPOINT_SCHEMA})"
         )
+    try:
+        data = portable.loads(payload)
+    except portable.PortableError as exc:
+        raise CheckpointCorrupt(f"payload does not decode: {exc}") from exc
     return DiscoveryCheckpoint(
         target=data["target"],
         completed=data["completed"],
@@ -454,8 +418,7 @@ class DurableRun:
         warnings = []
         for path in reversed(self.generations()):
             try:
-                blob = path.read_bytes()
-                checkpoint = thaw_checkpoint(blob)
+                checkpoint = thaw_checkpoint(path.read_bytes())
             except CheckpointCorrupt as exc:
                 warnings.append(f"checkpoint {path.name} unusable: {exc}")
                 continue
@@ -468,12 +431,6 @@ class DurableRun:
                     f"manifest says {self.config.get('target')!r}"
                 )
                 continue
-            if generation_schema(blob) == LEGACY_PICKLE_SCHEMA:
-                warnings.append(
-                    f"checkpoint {path.name} is legacy pickle (schema "
-                    f"{LEGACY_PICKLE_SCHEMA}); run `repro migrate-run "
-                    f"{self.directory}` to convert it"
-                )
             return checkpoint, warnings
         return None, warnings
 

@@ -46,6 +46,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+from repro.counters import Counters
 from repro.discovery.dfg import build_dfg
 from repro.discovery.graphmatch import match_binary
 from repro.discovery.reverse_interp import (
@@ -79,7 +80,7 @@ EVAL_CHUNK = 96
 
 
 @dataclass
-class ExtractionStats:
+class ExtractionStats(Counters):
     """Counters for the process-parallel extraction of one target."""
 
     procs: int = 1
@@ -107,24 +108,16 @@ class ExtractionStats:
         return self.memo_hits / looked if looked else 0.0
 
     def snapshot(self):
-        return {
-            "procs": self.procs,
-            "memo_enabled": self.memo_enabled,
-            "shards": self.shards,
-            "shard_sizes": list(self.shard_sizes),
-            "dispatched_shards": self.dispatched_shards,
-            "inline_shards": self.inline_shards,
-            "graph_tasks": self.graph_tasks,
-            "hyp_tasks": self.hyp_tasks,
-            "eval_tasks": self.eval_tasks,
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            "memo_hit_rate": round(self.memo_hit_rate, 4),
-            "budget_total": self.budget_total,
-            "budget_spent": self.budget_spent,
-            "budget_unspent": self.budget_unspent,
-            "fixpoint_retries": self.fixpoint_retries,
-        }
+        """The counters as a JSON-ready dict, each derived rate right
+        after the counter it derives from."""
+        out = {}
+        for name, value in vars(self.copy()).items():
+            out[name] = value
+            if name == "memo_misses":
+                out["memo_hit_rate"] = round(self.memo_hit_rate, 4)
+            elif name == "budget_spent":
+                out["budget_unspent"] = self.budget_unspent
+        return out
 
 
 # -- sharding -----------------------------------------------------------------

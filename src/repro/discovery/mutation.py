@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 
 from repro import wordops
+from repro.counters import Counters
 from repro.discovery.asmmodel import DInstr, DReg
 
 
@@ -83,7 +84,7 @@ def rename_all(instrs, old, new):
 
 
 @dataclass
-class MutationStats:
+class MutationStats(Counters):
     attempted: int = 0
     succeeded: int = 0
     runs: int = 0
@@ -142,9 +143,7 @@ class MutationEngine:
 
     def absorb(self, fork):
         """Fold a fork's private counters back in (merge step)."""
-        self.stats.attempted += fork.stats.attempted
-        self.stats.succeeded += fork.stats.succeeded
-        self.stats.runs += fork.stats.runs
+        self.stats.merge(fork.stats)
 
     # -- value sets ---------------------------------------------------------
 

@@ -4,8 +4,8 @@ The paper assumes the target toolchain answers every ``rsh`` faithfully;
 a deployed discovery unit cannot.  This module provides the three
 defences the driver wires through the probe loop:
 
-* :class:`RetryPolicy` -- exponential backoff with deterministic jitter
-  and a per-run retry budget, applied to every remote verb.
+* :class:`RetryPolicy` -- exponential backoff with deterministic
+  jitter, applied to every remote verb.
 * :class:`CircuitBreaker` -- a per-probe-class breaker that stops
   hammering a persistently failing interaction and later lets a trial
   call through (closed -> open -> half-open -> closed).
@@ -18,7 +18,8 @@ defences the driver wires through the probe loop:
 surface as :class:`~repro.machines.machine.RemoteMachine`, so the rest
 of the discovery unit stays oblivious.  The fast path is free: with no
 faults and ``votes=1`` every verb is a single delegated call -- zero
-extra target executions.
+extra target executions.  Every connection of a pool keeps its own
+policy and breaker but counts into the primary's :class:`RetryStats`.
 """
 
 from __future__ import annotations
@@ -26,16 +27,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.counters import Counters
 from repro.errors import (
     PermanentTargetError,
     RETRYABLE_ERRORS,
     TargetTimeoutError,
     TransientTargetError,
 )
+from repro.machines import machine as facade
 
 
 @dataclass
-class RetryStats:
+class RetryStats(Counters):
     """Counters the driver surfaces in the DiscoveryReport."""
 
     attempts: int = 0
@@ -48,30 +51,14 @@ class RetryStats:
     breaker_rejections: int = 0
     total_backoff: float = 0.0
 
-    def add(self, other):
-        """Accumulate another connection's counters (pool aggregation)."""
-        self.attempts += other.attempts
-        self.retries += other.retries
-        self.transient_errors += other.transient_errors
-        self.timeouts += other.timeouts
-        self.gave_up += other.gave_up
-        self.vote_runs += other.vote_runs
-        self.vote_conflicts += other.vote_conflicts
-        self.breaker_rejections += other.breaker_rejections
-        self.total_backoff += other.total_backoff
-        return self
-
 
 class RetryPolicy:
-    """Exponential backoff with deterministic jitter and a retry budget.
+    """Exponential backoff with deterministic jitter.
 
-    ``max_retries`` is the number of *re*-attempts after the first try;
-    ``budget`` (optional) caps total retries across a whole discovery
-    run, so a pathologically flaky target degrades into quarantine
-    instead of burning unbounded target time.  Backoff delays are
-    computed deterministically from ``jitter_seed`` but not slept by
-    default (``sleep=None``): the simulated target has no real latency,
-    and tests assert on the schedule instead.
+    ``max_retries`` is the number of *re*-attempts after the first try.
+    Backoff delays are computed deterministically from ``jitter_seed``
+    but not slept by default (``sleep=None``): the simulated target has
+    no real latency, and tests assert on the schedule instead.
     """
 
     def __init__(
@@ -81,7 +68,6 @@ class RetryPolicy:
         max_delay=2.0,
         jitter=0.5,
         jitter_seed=0x7E57,
-        budget=None,
         sleep=None,
     ):
         if max_retries < 0:
@@ -90,7 +76,6 @@ class RetryPolicy:
         self.base_delay = base_delay
         self.max_delay = max_delay
         self.jitter = jitter
-        self.budget = budget
         self.sleep = sleep
         self.stats = RetryStats()
         self._jitter_seed = jitter_seed
@@ -119,51 +104,27 @@ class RetryPolicy:
         """Invoke *fn*, retrying transient target errors.
 
         The first attempt is made directly -- on success the policy has
-        added nothing.  When retries (or the run-wide budget) are
-        exhausted the last transient error propagates, which callers
-        translate into quarantine.
+        added nothing.  When retries are exhausted the last transient
+        error propagates, which callers translate into quarantine.
         """
         attempt = 0
         while True:
-            self.stats.attempts += 1
+            self.stats.bump(attempts=1)
             try:
                 return fn(*args, **kwargs)
             except RETRYABLE_ERRORS as exc:
-                self.stats.transient_errors += 1
-                if isinstance(exc, TargetTimeoutError):
-                    self.stats.timeouts += 1
-                if attempt >= self.max_retries or not self._spend_budget():
-                    self.stats.gave_up += 1
+                self.stats.bump(
+                    transient_errors=1,
+                    timeouts=int(isinstance(exc, TargetTimeoutError)),
+                )
+                if attempt >= self.max_retries:
+                    self.stats.bump(gave_up=1)
                     raise
                 delay = self._delay(attempt)
-                self.stats.total_backoff += delay
+                self.stats.bump(retries=1, total_backoff=delay)
                 if self.sleep is not None:
                     self.sleep(delay)
-                self.stats.retries += 1
                 attempt += 1
-
-    def _spend_budget(self):
-        if self.budget is None:
-            return True
-        return self.budget.spend()
-
-
-@dataclass
-class ExecutionBudget:
-    """A run-wide cap on extra target interactions spent on recovery."""
-
-    limit: int
-    spent: int = 0
-
-    def spend(self, n=1):
-        if self.spent + n > self.limit:
-            return False
-        self.spent += n
-        return True
-
-    @property
-    def remaining(self):
-        return max(0, self.limit - self.spent)
 
 
 class CircuitBreaker:
@@ -232,22 +193,11 @@ class ResilienceConfig:
     max_retries: int = 4
     votes: int = 1  # executions per verdict; 1 == trust single runs
     max_vote_rounds: int = 2  # extra vote batches when no majority
-    retry_budget: int | None = None  # run-wide cap on recovery retries
     failure_threshold: int = 5
     cooldown_calls: int = 8
-    jitter_seed: int = 0x7E57
 
     def build_policy(self):
-        budget = (
-            ExecutionBudget(self.retry_budget)
-            if self.retry_budget is not None
-            else None
-        )
-        return RetryPolicy(
-            max_retries=self.max_retries,
-            jitter_seed=self.jitter_seed,
-            budget=budget,
-        )
+        return RetryPolicy(max_retries=self.max_retries)
 
     def build_breaker(self):
         return CircuitBreaker(
@@ -256,7 +206,7 @@ class ResilienceConfig:
         )
 
 
-class ResilientMachine:
+class ResilientMachine(facade.MachineLayer):
     """Retry + breaker + voting behind the standard machine surface.
 
     Wraps any four-verb machine (a :class:`RemoteMachine`, or a
@@ -269,7 +219,7 @@ class ResilientMachine:
     """
 
     def __init__(self, machine, config=None, policy=None, breaker=None):
-        self.inner = machine
+        super().__init__(machine)
         self.config = config or ResilienceConfig()
         self.policy = policy or self.config.build_policy()
         self.breaker = breaker or self.config.build_breaker()
@@ -279,35 +229,18 @@ class ResilientMachine:
 
         Retry state must be per-connection (a breaker tripped by one
         worker's probes should not blind another's), so the clone gets a
-        fresh policy/breaker from the same config; aggregate the
-        :class:`RetryStats` with :meth:`RetryStats.add`.
+        fresh policy/breaker from the same config; its policy counts
+        into this connection's :class:`RetryStats`.
         """
-        return ResilientMachine(self.inner.clone_connection(index), config=self.config)
-
-    # -- passthrough surface ------------------------------------------
-
-    @property
-    def target(self):
-        return self.inner.target
-
-    @property
-    def toolchain(self):
-        return self.inner.toolchain
-
-    @property
-    def stats(self):
-        return self.inner.stats
-
-    @property
-    def fault_stats(self):
-        """Injected-fault counters when wrapping a FaultyMachine."""
-        return getattr(self.inner, "fault_stats", None)
+        clone = ResilientMachine(self.inner.clone_connection(index), config=self.config)
+        clone.policy.stats = self.policy.stats
+        return clone
 
     # -- guarded delegation -------------------------------------------
 
     def _guarded(self, verb, fn, *args, **kwargs):
         if not self.breaker.allow(verb):
-            self.policy.stats.breaker_rejections += 1
+            self.policy.stats.bump(breaker_rejections=1)
             raise PermanentTargetError(
                 f"circuit open for remote {verb} (persistent target failures)"
             )
@@ -327,15 +260,6 @@ class ResilientMachine:
     def assemble(self, asm_text):
         return self._guarded("assemble", self.inner.assemble, asm_text)
 
-    def assembles_ok(self, asm_text):
-        from repro.errors import AssemblerError
-
-        try:
-            self.assemble(asm_text)
-        except AssemblerError:
-            return False
-        return True
-
     def link(self, objects):
         return self._guarded("link", self.inner.link, objects)
 
@@ -351,24 +275,14 @@ class ResilientMachine:
                 results.append(
                     self._guarded("execute", self.inner.execute, executable)
                 )
-                stats.vote_runs += 1
+                stats.bump(vote_runs=1)
                 winner = majority_vote(results, minimum)
                 if winner is not None:
                     return winner
-            stats.vote_conflicts += 1
+            stats.bump(vote_conflicts=1)
         raise TransientTargetError(
             f"no majority among {len(results)} repeated executions"
         )
-
-    # -- conveniences (each step individually retried) -----------------
-
-    def run_c(self, sources, headers=None):
-        objects = [self.assemble(self.compile_c(src, headers)) for src in sources]
-        return self.execute(self.link(objects))
-
-    def run_asm(self, asm_texts):
-        objects = [self.assemble(text) for text in asm_texts]
-        return self.execute(self.link(objects))
 
 
 def make_resilient(machine, config=None):

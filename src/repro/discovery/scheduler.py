@@ -15,18 +15,19 @@ deterministic** for any worker count:
   from a shared stream whose interleaving would depend on scheduling;
 * tasks are assigned to connections **statically** (task *i* runs on
   connection *i mod workers*), so each connection's call sequence --
-  and with it its invocation counters and its seeded fault plan -- is a
+  and with it its seeded fault plan and the pool's counters -- is a
   pure function of the task list, not of thread timing.  Dynamic
   work-stealing would balance load marginally better at the price of
   making every counter and fault schedule racy; determinism wins.
 
 :class:`TargetConnectionPool` clones a connection stack via the
 ``clone_connection`` protocol (RemoteMachine, FaultyMachine,
-ResilientMachine and CachingMachine all implement it; the probe cache
-is shared across clones by design) and aggregates every layer's
-counters for the final report.  :class:`ProbeScheduler` runs ordered
-maps over the pool and records observability counters (workers, tasks,
-failures, peak in-flight depth, per-phase wall clock).
+ResilientMachine and CachingMachine all implement it).  Every layer
+shares its counters with its clones, and the probe cache is shared too,
+so the primary connection's counters already cover the whole pool.
+:class:`ProbeScheduler` runs ordered maps over the pool and records
+observability counters (workers, tasks, failures, peak in-flight depth,
+per-phase wall clock).
 """
 
 from __future__ import annotations
@@ -36,9 +37,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from repro.counters import Counters
+
 
 @dataclass
-class SchedulerStats:
+class SchedulerStats(Counters):
     """Counters the driver surfaces in the DiscoveryReport."""
 
     workers: int = 1
@@ -48,17 +51,6 @@ class SchedulerStats:
     batches: int = 0
     max_in_flight: int = 0
     phase_seconds: dict = field(default_factory=dict)
-
-    def snapshot(self):
-        return SchedulerStats(
-            self.workers,
-            self.connections,
-            self.tasks,
-            self.task_failures,
-            self.batches,
-            self.max_in_flight,
-            dict(self.phase_seconds),
-        )
 
 
 @dataclass
@@ -79,8 +71,7 @@ class TargetConnectionPool:
     """The primary connection plus ``size - 1`` clones of it.
 
     The primary stays reserved for the driver's sequential phases; the
-    clones serve worker threads.  ``aggregate_*`` sums the per-layer
-    counters across every connection, so reports see one machine."""
+    clones serve worker threads."""
 
     def __init__(self, primary, size=1):
         self.primary = primary
@@ -113,49 +104,6 @@ class TargetConnectionPool:
         if len(self.connections) == 1:
             return [self.primary]
         return self.connections[1:]
-
-    # -- aggregation ---------------------------------------------------
-    #
-    # Each aggregator dedupes by object identity: a layer may share one
-    # stats object across its clones (FaultyMachine does, so the handle
-    # the caller kept reflects the whole pool) and must be counted once.
-
-    def aggregate_machine_stats(self):
-        total, seen = None, set()
-        for conn in self.connections:
-            stats = conn.stats
-            if id(stats) in seen:
-                continue
-            seen.add(id(stats))
-            if total is None:
-                total = stats.snapshot()
-            else:
-                total.add(stats)
-        return total
-
-    def aggregate_retry_stats(self):
-        total, seen = None, set()
-        for conn in self.connections:
-            policy = getattr(conn, "policy", None)
-            if policy is None or id(policy.stats) in seen:
-                continue
-            seen.add(id(policy.stats))
-            if total is None:
-                total = type(policy.stats)()
-            total.add(policy.stats)
-        return total
-
-    def aggregate_fault_stats(self):
-        total, seen = None, set()
-        for conn in self.connections:
-            stats = getattr(conn, "fault_stats", None)
-            if stats is None or id(stats) in seen:
-                continue
-            seen.add(id(stats))
-            if total is None:
-                total = type(stats)()
-            total.add(stats)
-        return total
 
 
 class ProbeScheduler:
@@ -251,5 +199,5 @@ class ProbeScheduler:
         try:
             return TaskResult(index, value=fn(item, conn))
         except Exception as exc:  # captured; the driver decides policy
-            self.stats.task_failures += 1
+            self.stats.bump(task_failures=1)
             return TaskResult(index, error=exc)

@@ -11,6 +11,6 @@ The discovery unit never sees any of this directly: it talks to a
 the remote host reached over ``rsh`` in the paper.
 """
 
-from repro.machines.machine import RemoteMachine, Toolchain, make_machine, target_names
+from repro.machines.machine import RemoteMachine, Toolchain, target_names
 
-__all__ = ["RemoteMachine", "Toolchain", "make_machine", "target_names"]
+__all__ = ["RemoteMachine", "Toolchain", "target_names"]

@@ -35,10 +35,11 @@ Fault kinds:
 from __future__ import annotations
 
 import random
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from repro.counters import Counters
 from repro.errors import TargetTimeoutError, TransientTargetError
+from repro.machines.machine import MachineLayer
 
 #: the remote verbs faults can attach to
 VERBS = ("compile", "assemble", "link", "execute")
@@ -47,7 +48,7 @@ _TRANSIENT_KINDS = ("drop", "crash", "timeout")
 
 
 @dataclass
-class FaultStats:
+class FaultStats(Counters):
     """Counts of injected faults, by kind."""
 
     drops: int = 0
@@ -59,15 +60,6 @@ class FaultStats:
     @property
     def injected(self):
         return self.drops + self.crashes + self.timeouts + self.corruptions
-
-    def add(self, other):
-        """Accumulate another connection's counters (pool aggregation)."""
-        self.drops += other.drops
-        self.crashes += other.crashes
-        self.timeouts += other.timeouts
-        self.corruptions += other.corruptions
-        self.clean_calls += other.clean_calls
-        return self
 
 
 @dataclass
@@ -147,14 +139,14 @@ class FaultPlan:
         return output[:pos] + junk + output[pos + 1 :]
 
 
-class FaultyMachine:
+class FaultyMachine(MachineLayer):
     """A machine wrapper that injects :class:`FaultPlan` faults.
 
     Exposes the same surface as :class:`~repro.machines.machine.
-    RemoteMachine` -- the four verbs, ``assembles_ok``, ``run_c`` /
-    ``run_asm``, ``target``, ``toolchain`` and ``stats`` -- so it can be
-    dropped anywhere a machine is expected, including underneath the
-    resilience layer's own wrapper.
+    RemoteMachine`, so it can be dropped anywhere a machine is expected,
+    including underneath the resilience layer's own wrapper.  ``stats``
+    are the real machine's invocation counters: faulted calls that
+    never reached it do not count.
     """
 
     def __init__(self, machine, plan=None, rate=None, seed=0xFA17):
@@ -162,10 +154,9 @@ class FaultyMachine:
             plan = FaultPlan(rate=rate or 0.0, seed=seed)
         elif rate is not None:
             raise ValueError("pass either a FaultPlan or a rate, not both")
-        self.inner = machine
+        super().__init__(machine)
         self.plan = plan
         self.fault_stats = FaultStats()
-        self._stats_lock = threading.Lock()
 
     def clone_connection(self, index=0):
         """A parallel connection over the same flaky network.
@@ -174,8 +165,7 @@ class FaultyMachine:
         the plan seed and the connection index, so a worker pool's fault
         sequence is deterministic per (seed, connection) regardless of
         how samples are interleaved across connections.  All connections
-        report into one shared (lock-guarded) FaultStats, so the handle
-        the caller kept sees the whole pool's fault count.
+        count into this connection's :class:`FaultStats`.
         """
         plan = FaultPlan(
             rate=self.plan.rate,
@@ -185,47 +175,26 @@ class FaultyMachine:
         )
         clone = FaultyMachine(self.inner.clone_connection(index), plan=plan)
         clone.fault_stats = self.fault_stats
-        clone._stats_lock = self._stats_lock
         return clone
 
-    # -- passthrough surface ------------------------------------------
-
-    @property
-    def target(self):
-        return self.inner.target
-
-    @property
-    def toolchain(self):
-        return self.inner.toolchain
-
-    @property
-    def stats(self):
-        """Invocation counters of the real machine (faulted calls that
-        never reached it do not count)."""
-        return self.inner.stats
-
     # -- fault machinery ----------------------------------------------
-
-    def _bump(self, counter):
-        with self._stats_lock:
-            setattr(self.fault_stats, counter, getattr(self.fault_stats, counter) + 1)
 
     def _fault(self, verb):
         kind = self.plan.decide(verb)
         if kind is None:
-            self._bump("clean_calls")
+            self.fault_stats.bump(clean_calls=1)
             return None
         if kind == "drop":
-            self._bump("drops")
+            self.fault_stats.bump(drops=1)
             raise TransientTargetError(f"connection to target dropped during {verb}")
         return kind
 
     def _after(self, verb, kind):
         if kind == "crash":
-            self._bump("crashes")
+            self.fault_stats.bump(crashes=1)
             raise TransientTargetError(f"remote {verb} tool crashed")
         if kind == "timeout":
-            self._bump("timeouts")
+            self.fault_stats.bump(timeouts=1)
             raise TargetTimeoutError(f"remote {verb} timed out")
 
     # -- the four remote verbs ----------------------------------------
@@ -242,15 +211,6 @@ class FaultyMachine:
         self._after("assemble", kind)
         return result
 
-    def assembles_ok(self, asm_text):
-        from repro.errors import AssemblerError
-
-        try:
-            self.assemble(asm_text)
-        except AssemblerError:
-            return False
-        return True
-
     def link(self, objects):
         kind = self._fault("link")
         result = self.inner.link(objects)
@@ -262,18 +222,6 @@ class FaultyMachine:
         result = self.inner.execute(executable)
         self._after("execute", kind)
         if kind == "corrupt" and result.ok:
-            self._bump("corruptions")
-            from dataclasses import replace
-
+            self.fault_stats.bump(corruptions=1)
             return replace(result, output=self.plan.corrupt_output(result.output))
         return result
-
-    # -- conveniences (mirror RemoteMachine) --------------------------
-
-    def run_c(self, sources, headers=None):
-        objects = [self.assemble(self.compile_c(src, headers)) for src in sources]
-        return self.execute(self.link(objects))
-
-    def run_asm(self, asm_texts):
-        objects = [self.assemble(text) for text in asm_texts]
-        return self.execute(self.link(objects))

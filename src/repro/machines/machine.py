@@ -12,14 +12,22 @@ could learn.
 Invocation counters are kept per machine so benchmarks can report how
 many target interactions (especially executions, the expensive mutation
 currency) an analysis costs.
+
+:class:`MachineLayer` is the base of every layer of a connection stack
+(this façade at the bottom, then fault injection, resilience and the
+probe cache above it): it owns the wrapped ``inner`` layer, the
+passthrough of the bottom layer's ``target``, ``toolchain`` and
+``stats``, and the conveniences built from the four verbs.
+:func:`layer_attr` is the one walk down a stack.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.errors import LinkerError
+from repro.counters import Counters
+from repro.errors import AssemblerError, LinkerError
 from repro.machines import alpha, m68k, mips, sparc, vax, x86
 from repro.machines.assembler import Assembler
 from repro.machines.executor import run as execute_program
@@ -100,7 +108,7 @@ class ExecutableHandle:
 
 
 @dataclass
-class MachineStats:
+class MachineStats(Counters):
     """Counts of target interactions (the paper's dominant cost)."""
 
     compilations: int = 0
@@ -109,36 +117,69 @@ class MachineStats:
     links: int = 0
     executions: int = 0
 
-    def snapshot(self):
-        return MachineStats(
-            self.compilations,
-            self.assemblies,
-            self.assembly_errors,
-            self.links,
-            self.executions,
-        )
-
-    def add(self, other):
-        """Accumulate another connection's counters (pool aggregation)."""
-        self.compilations += other.compilations
-        self.assemblies += other.assemblies
-        self.assembly_errors += other.assembly_errors
-        self.links += other.links
-        self.executions += other.executions
-        return self
-
     @property
     def total_verbs(self):
         """Remote round-trips: the paper's dominant cost."""
         return self.compilations + self.assemblies + self.links + self.executions
 
 
-@dataclass
-class _Session:
-    stats: MachineStats = field(default_factory=MachineStats)
+class MachineLayer:
+    """One layer of a connection stack over the four remote verbs.
+
+    A wrapper passes *inner*, the layer below it, and reads the bottom
+    layer's ``target``, ``toolchain`` and ``stats`` through it; the
+    bottom layer (:class:`RemoteMachine`) has no ``inner`` and sets the
+    three itself.  Subclasses define ``compile_c``, ``assemble``,
+    ``link``, ``execute`` and ``clone_connection``; the conveniences
+    below go through those verbs, so every layer's behaviour applies to
+    them.
+
+    A layer that counts creates its counters once and hands the same
+    object to each clone, so the primary connection reports the whole
+    pool (see :class:`~repro.counters.Counters`).
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.target = inner.target
+        self.toolchain = inner.toolchain
+        self.stats = inner.stats
+
+    def assembles_ok(self, asm_text):
+        """Accept/reject probe: does the assembler take this program?"""
+        try:
+            self.assemble(asm_text)
+        except AssemblerError:
+            return False
+        return True
+
+    def run_c(self, sources, headers=None):
+        """compile + assemble + link + execute a list of C sources."""
+        objects = [self.assemble(self.compile_c(src, headers)) for src in sources]
+        return self.execute(self.link(objects))
+
+    def run_asm(self, asm_texts):
+        """assemble + link + execute a list of assembly sources."""
+        objects = [self.assemble(text) for text in asm_texts]
+        return self.execute(self.link(objects))
 
 
-class RemoteMachine:
+def layer_attr(machine, name):
+    """The attribute *name* of the outermost layer of *machine*'s stack
+    that sets it (not None), or None when no layer does.
+
+    Follows ``inner`` and reads every layer by duck typing, so test
+    doubles and wrappers that do not derive from :class:`MachineLayer`
+    are walked too."""
+    while machine is not None:
+        value = getattr(machine, name, None)
+        if value is not None:
+            return value
+        machine = getattr(machine, "inner", None)
+    return None
+
+
+class RemoteMachine(MachineLayer):
     """A simulated target host reachable "over the network".
 
     The four verbs mirror the tools the paper requires of a target:
@@ -164,16 +205,17 @@ class RemoteMachine:
         self.stats = MachineStats()
 
     def clone_connection(self, index=0):
-        """Open another independent connection to the same target host.
+        """Open another connection to the same target host.
 
-        The clone has its own toolchain session state (assembler,
-        code generator) and its own invocation counters, so concurrent
-        use from one worker per connection is safe; aggregate counters
-        with :meth:`MachineStats.add`.
+        The clone has its own toolchain session state (assembler, code
+        generator), so concurrent use from one worker per connection is
+        safe, and counts into this machine's :class:`MachineStats`.
         """
-        return RemoteMachine(
+        clone = RemoteMachine(
             self.target, toolchain=self.toolchain, fuel=self.fuel, latency=self.latency
         )
+        clone.stats = self.stats
+        return clone
 
     def _round_trip(self):
         if self.latency:
@@ -188,34 +230,24 @@ class RemoteMachine:
         "init.h"`` in the paper's Figure 3 samples).
         Raises :class:`~repro.errors.CompilerError` on bad programs.
         """
-        self.stats.compilations += 1
+        self.stats.bump(compilations=1)
         self._round_trip()
         return self._get_codegen().compile(source, headers or {})
 
     def assemble(self, asm_text):
         """Run the native assembler; raises
         :class:`~repro.errors.AssemblerError` on illegal input."""
-        self.stats.assemblies += 1
+        self.stats.bump(assemblies=1)
         self._round_trip()
         try:
             return ObjectHandle(self._assembler.assemble(asm_text))
         except Exception:
-            self.stats.assembly_errors += 1
+            self.stats.bump(assembly_errors=1)
             raise
-
-    def assembles_ok(self, asm_text):
-        """Accept/reject probe: does the assembler take this program?"""
-        from repro.errors import AssemblerError
-
-        try:
-            self.assemble(asm_text)
-        except AssemblerError:
-            return False
-        return True
 
     def link(self, objects):
         """Run the native linker over object handles."""
-        self.stats.links += 1
+        self.stats.bump(links=1)
         self._round_trip()
         objs = []
         for handle in objects:
@@ -227,23 +259,11 @@ class RemoteMachine:
     def execute(self, executable):
         """Run the program "remotely"; returns
         :class:`~repro.machines.executor.ExecResult` (never raises)."""
-        self.stats.executions += 1
+        self.stats.bump(executions=1)
         self._round_trip()
         if not isinstance(executable, ExecutableHandle):
             raise LinkerError(f"not an executable handle: {executable!r}")
         return execute_program(executable._program, fuel=self.fuel)
-
-    # -- conveniences --------------------------------------------------
-
-    def run_c(self, sources, headers=None):
-        """compile + assemble + link + execute a list of C sources."""
-        objects = [self.assemble(self.compile_c(src, headers)) for src in sources]
-        return self.execute(self.link(objects))
-
-    def run_asm(self, asm_texts):
-        """assemble + link + execute a list of assembly sources."""
-        objects = [self.assemble(text) for text in asm_texts]
-        return self.execute(self.link(objects))
 
     def _get_codegen(self):
         if self._codegen is None:
@@ -251,8 +271,3 @@ class RemoteMachine:
 
             self._codegen = compiler_for(self.target)
         return self._codegen
-
-
-def make_machine(target, **kwargs):
-    """Factory used throughout tests, examples and benchmarks."""
-    return RemoteMachine(target, **kwargs)

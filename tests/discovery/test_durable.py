@@ -5,8 +5,8 @@ The crash-at-every-phase spec-identity sweep lives in
 ``test_crash_resume.py``; this file pins the storage layer itself --
 what a checkpoint file *is*, what survives corruption, what rides the
 checkpoint (quarantine reasons, progress records, rng positions), and
-the portable-schema contract: the happy path never touches pickle,
-while schema-1 generations from the previous release still load.
+the portable-schema contract: loading never touches pickle, and a
+pickle-era schema-1 generation is skipped like any foreign one.
 """
 
 import hashlib
@@ -22,18 +22,15 @@ from repro.discovery.driver import (
     DiscoveryInterrupted,
     DiscoveryReport,
 )
-from repro.discovery import durable
 from repro.discovery.durable import (
     CHECKPOINT_SCHEMA,
     KEEP_GENERATIONS,
-    LEGACY_PICKLE_SCHEMA,
     MAGIC,
     DurableRun,
     PhaseProgress,
     chunked,
     detach_runtime,
     freeze_checkpoint,
-    generation_schema,
     machine_from_config,
     parse_envelope,
     run_config,
@@ -340,12 +337,16 @@ def test_quarantine_stays_quarantined_across_resume(tmp_path):
     )
 
 
-# -- the portable schema and the pickle-era fallback ---------------------
+# -- the portable schema; pickle-era generations are foreign ------------
+
+
+def _refuse_unpickling(_payload):
+    raise AssertionError("pickle.loads reached while loading a checkpoint")
 
 
 def _legacy_blob(checkpoint):
-    """A schema-1 generation, byte-compatible with what the previous
-    release's ``freeze_checkpoint`` wrote (pickle body)."""
+    """A schema-1 generation: the pickle body checkpoints had before
+    the portable codec."""
     with detach_runtime(checkpoint):
         payload = pickle.dumps(
             {
@@ -358,7 +359,7 @@ def _legacy_blob(checkpoint):
         )
     header = json.dumps(
         {
-            "schema": LEGACY_PICKLE_SCHEMA,
+            "schema": 1,
             "target": checkpoint.target,
             "length": len(payload),
             "sha256": hashlib.sha256(payload).hexdigest(),
@@ -377,16 +378,15 @@ def test_checkpoint_body_is_portable_json_not_pickle():
     json.loads(payload)  # parses as plain JSON
 
 
-def test_happy_path_performs_zero_pickle_loads(tmp_path):
+def test_happy_path_performs_zero_pickle_loads(tmp_path, monkeypatch):
     """A run directory checkpointed by this build resumes without a
     single pickle load -- the property that makes any worker on any
     build able to adopt it."""
-    before = durable.LEGACY_PICKLE_LOADS
     run = _mid_run_checkpoint(tmp_path)
+    monkeypatch.setattr(pickle, "loads", _refuse_unpickling)
     checkpoint, warnings = run.load_checkpoint()
     assert warnings == []
     assert checkpoint is not None
-    assert durable.LEGACY_PICKLE_LOADS == before
 
 
 def test_equal_checkpoints_freeze_to_equal_bytes():
@@ -397,22 +397,22 @@ def test_equal_checkpoints_freeze_to_equal_bytes():
     assert blob_a == blob_b
 
 
-def test_legacy_pickle_generation_still_loads(tmp_path):
-    run = DurableRun.attach(tmp_path / "run", {"target": "vax"})
-    blob = _legacy_blob(_small_checkpoint())
-    (run.directory / "ckpt-000001.bin").write_bytes(blob)
-    assert generation_schema(blob) == LEGACY_PICKLE_SCHEMA
-    before = durable.LEGACY_PICKLE_LOADS
+def test_legacy_pickle_generation_falls_back_without_unpickling(
+    tmp_path, monkeypatch
+):
+    """A schema-1 generation (pickle body) is skipped with a warning,
+    like any foreign schema, and its payload never reaches
+    ``pickle.loads``."""
+    run = _committed_pair(tmp_path)
+    run.generations()[-1].write_bytes(_legacy_blob(_small_checkpoint()))
+    monkeypatch.setattr(pickle, "loads", _refuse_unpickling)
     checkpoint, warnings = run.load_checkpoint()
-    assert checkpoint is not None
-    assert checkpoint.completed == ["enquire", "assembler syntax"]
-    assert durable.LEGACY_PICKLE_LOADS == before + 1
-    assert any("migrate-run" in w for w in warnings)
+    assert checkpoint is not None  # the older, portable generation
+    assert any("schema version 1" in w for w in warnings)
 
 
-def test_unknown_future_schema_never_unpickles(tmp_path):
-    """Only the one known legacy schema gets the pickle path: a forged
-    schema-0 header must not reach ``pickle.loads``."""
+def test_unknown_future_schema_never_unpickles(tmp_path, monkeypatch):
+    """A forged schema-0 header must not reach ``pickle.loads``."""
     run = DurableRun.attach(tmp_path / "run", {"target": "vax"})
     blob = _legacy_blob(_small_checkpoint())
     header, payload = parse_envelope(blob)
@@ -421,36 +421,10 @@ def test_unknown_future_schema_never_unpickles(tmp_path):
         MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n" + payload
     )
     (run.directory / "ckpt-000001.bin").write_bytes(forged)
-    before = durable.LEGACY_PICKLE_LOADS
+    monkeypatch.setattr(pickle, "loads", _refuse_unpickling)
     checkpoint, warnings = run.load_checkpoint()
     assert checkpoint is None
-    assert durable.LEGACY_PICKLE_LOADS == before
     assert any("schema" in w for w in warnings)
-
-
-def test_migrate_run_converts_legacy_to_portable(tmp_path, capsys):
-    from repro.__main__ import main
-
-    run = DurableRun.attach(tmp_path / "run", {"target": "vax", "schema": 1})
-    (run.directory / "ckpt-000001.bin").write_bytes(
-        _legacy_blob(_small_checkpoint())
-    )
-    assert main(["migrate-run", str(run.directory)]) == 0
-    out = capsys.readouterr().out
-    assert "migrated" in out
-
-    reopened = DurableRun.open(str(run.directory))
-    newest = reopened.generations()[-1].read_bytes()
-    assert generation_schema(newest) == CHECKPOINT_SCHEMA
-    before = durable.LEGACY_PICKLE_LOADS
-    checkpoint, warnings = reopened.load_checkpoint()
-    assert checkpoint is not None
-    assert checkpoint.completed == ["enquire", "assembler syntax"]
-    assert durable.LEGACY_PICKLE_LOADS == before  # pickle-free from now on
-    assert warnings == []
-    # Idempotent: a second migrate is a no-op.
-    assert main(["migrate-run", str(run.directory)]) == 0
-    assert "already schema" in capsys.readouterr().out
 
 
 def test_mid_run_checkpoint_is_cross_process_portable(tmp_path):

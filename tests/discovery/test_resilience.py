@@ -1,6 +1,9 @@
 """The resilience layer: retry/backoff, circuit breaker, majority voting,
 and the resilient machine wrapper."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import (
@@ -9,9 +12,10 @@ from repro.errors import (
     TransientTargetError,
 )
 from repro.machines.executor import ExecResult
+from repro.machines.faults import FaultyMachine
+from repro.machines.machine import RemoteMachine
 from repro.discovery.resilience import (
     CircuitBreaker,
-    ExecutionBudget,
     ResilienceConfig,
     ResilientMachine,
     RetryPolicy,
@@ -87,19 +91,6 @@ class TestRetryPolicy:
         policy.call(Flaky(1, exc=TargetTimeoutError))
         assert policy.stats.timeouts == 1
         assert policy.stats.transient_errors == 1
-
-    def test_budget_stops_retries_early(self):
-        budget = ExecutionBudget(limit=2)
-        policy = RetryPolicy(max_retries=10, budget=budget)
-        with pytest.raises(TransientTargetError):
-            policy.call(Flaky(10))
-        assert policy.stats.retries == 2
-        assert budget.remaining == 0
-        # A second call cannot retry at all any more.
-        fn = Flaky(1)
-        with pytest.raises(TransientTargetError):
-            policy.call(fn)
-        assert fn.calls == 1
 
 
 class TestCircuitBreaker:
@@ -234,3 +225,33 @@ class TestResilientMachine:
         with pytest.raises(PermanentTargetError):
             machine.execute(object())
         assert machine.policy.stats.breaker_rejections == 1
+
+
+def test_clones_count_into_the_primary_under_contention():
+    """Eight threads, each on its own clone of one stack and switching
+    as often as the interpreter allows: every layer's shared counters
+    must see every verb, which a lost update would break."""
+    threads, verbs = 8, 2000
+    asm = RemoteMachine("vax").compile_c("int main() { return 0; }")
+    primary = ResilientMachine(FaultyMachine(RemoteMachine("vax"), rate=0.0))
+    clones = [primary.clone_connection(index + 1) for index in range(threads)]
+
+    def issue(conn):
+        for _ in range(verbs):
+            conn.assemble(asm)
+
+    workers = [threading.Thread(target=issue, args=(conn,)) for conn in clones]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    total = threads * verbs
+    assert primary.stats.total_verbs == total
+    assert primary.policy.stats.attempts == total
+    assert primary.inner.fault_stats.clean_calls == total
