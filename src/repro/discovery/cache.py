@@ -19,7 +19,12 @@ Three pieces:
   Persistence is an append-only JSONL shard per fingerprint (crash-safe:
   a torn write corrupts one line, which is detected, counted and treated
   as a miss), with LRU eviction above ``max_entries`` and hit / miss /
-  write / eviction / corruption counters for the reports.
+  write / eviction / corruption counters for the reports.  The store
+  holds one append handle, that of the shard written last: a write to
+  another shard closes it and opens that one.  It is flushed after
+  every entry (so a killed process loses nothing it reported stored),
+  and closed by :meth:`ProbeCache.close`, before compaction rewrites
+  its shard, and when GC evicts its shard.
 * :class:`CachingMachine` -- wraps any four-verb machine (normally the
   top of a resilience stack, so only *vetted* answers are cached) behind
   the same surface.  Object and executable handles become *lazy*: they
@@ -121,7 +126,8 @@ class ProbeCache:
     append-only ``probes-<fingerprint>.jsonl`` shard under the
     directory; shards are loaded lazily on first touch, entries are
     appended write-through, and shards shrunk by eviction are compacted
-    on :meth:`close`.
+    on :meth:`close`.  A store that wrote must be closed: it holds the
+    append handle of the shard it wrote last.
     """
 
     def __init__(self, directory=None, max_entries=1_000_000):
@@ -140,6 +146,7 @@ class ProbeCache:
         self._loaded_shards = set()  # fingerprints already read from disk
         self._dirty_shards = set()  # fingerprints needing compaction
         self._touched = {}  # fingerprint -> wall-clock stamp of last use
+        self._held = None  # (fingerprint, append handle) of the shard written last
         self._lock = threading.RLock()
 
     @staticmethod
@@ -188,8 +195,10 @@ class ProbeCache:
                 self._dirty_shards.add(evicted_key.split(":", 1)[0])
 
     def close(self):
-        """Compact shards that lost entries to eviction."""
+        """Close the held shard handle and compact shards that lost
+        entries to eviction.  A later put reopens its shard."""
         with self._lock:
+            self._close_handle()
             for fingerprint in sorted(self._dirty_shards):
                 self._compact(fingerprint)
             self._dirty_shards.clear()
@@ -200,6 +209,7 @@ class ProbeCache:
         path = self._shard_path(fingerprint)
         if path is None:
             return
+        self._close_handle(fingerprint)
         prefix = f"{fingerprint}:"
         lines = [
             json.dumps({"k": key, "verb": key.split(":")[1], "v": payload})
@@ -292,6 +302,7 @@ class ProbeCache:
         self._loaded_shards.discard(fingerprint)
         self._dirty_shards.discard(fingerprint)
         self._touched.pop(fingerprint, None)
+        self._close_handle(fingerprint)
         path = self._shard_path(fingerprint)
         if path is not None:
             try:
@@ -412,13 +423,23 @@ class ProbeCache:
                 self.stats.loaded += 1
 
     def _append(self, fingerprint, key, verb, payload):
-        path = self._shard_path(fingerprint)
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps({"k": key, "verb": verb, "v": payload})
-        with open(path, "a") as handle:
-            handle.write(line + "\n")
+        if self._held is None or self._held[0] != fingerprint:
+            path = self._shard_path(fingerprint)
+            if path is None:
+                return
+            self._close_handle()
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self._held = (fingerprint, open(path, "a"))
+        handle = self._held[1]
+        handle.write(json.dumps({"k": key, "verb": verb, "v": payload}) + "\n")
+        handle.flush()  # in the OS before put returns, as a close would be
+
+    def _close_handle(self, fingerprint=None):
+        """Close the held handle (only if it is *fingerprint*'s shard,
+        when one is given)."""
+        if self._held is not None and fingerprint in (None, self._held[0]):
+            self._held[1].close()
+            self._held = None
 
 
 # -- lazy handles -----------------------------------------------------

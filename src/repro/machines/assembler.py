@@ -6,6 +6,12 @@ operands, unknown registers, out-of-range immediates, wrong operand
 counts -- raises :class:`~repro.errors.AssemblerError`, which is exactly
 the behaviour the paper's syntax-probing techniques rely on ("assemblers
 which simply crash on the first error are quite acceptable").
+
+Discovery reassembles near-identical texts thousands of times (a
+mutation changes one or two lines of a sample), so each
+:class:`Assembler` memoises the parse of every instruction line it has
+seen -- or the message it rejected it with -- keyed by the line's text
+once comments and labels are gone.
 """
 
 from __future__ import annotations
@@ -14,7 +20,11 @@ import re
 from dataclasses import dataclass, field
 
 from repro.errors import AssemblerError
-from repro.machines.operands import Imm, Mem, Reg, Sym, coerce_to_signature
+from repro.machines.operands import Imm, Lab, Mem, Reg, Sym
+
+#: the line memo is emptied when it holds this many entries; on every
+#: target its hit rate stays within half a point of an unbounded memo
+LINE_MEMO_CAP = 4096
 
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][A-Za-z0-9_.$]*)\s*:\s*(.*)$")
 
@@ -23,13 +33,17 @@ _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", '"': '"'}
 
 @dataclass
 class TextInstr:
-    """One assembled instruction (pre-link: operands may contain Syms)."""
+    """One assembled instruction (pre-link: operands may contain Syms).
+
+    ``symbolic`` says whether any operand holds a :class:`Sym` the
+    linker must resolve; one without is linked as is."""
 
     mnemonic: str
     form: object
     operands: list
     lineno: int
     text: str
+    symbolic: bool
 
 
 @dataclass
@@ -102,6 +116,9 @@ class Assembler:
 
     def __init__(self, isa):
         self.isa = isa
+        #: instruction text -> (mnemonic, form, operands, symbolic), or
+        #: the rejection message
+        self._memo = {}
 
     def assemble(self, source):
         obj = ObjectFile(isa_name=self.isa.name)
@@ -130,7 +147,16 @@ class Assembler:
             for label in pending_labels:
                 self._def_text_label(obj, label, lineno)
             pending_labels = []
-            obj.instrs.append(self._instruction(line, lineno))
+            parsed = self._memo.get(line)
+            if parsed is None:
+                parsed = self._parse_instruction(line)
+                if len(self._memo) >= LINE_MEMO_CAP:
+                    self._memo.clear()
+                self._memo[line] = parsed
+            if isinstance(parsed, str):
+                raise AssemblerError(parsed, lineno)
+            mnemonic, form, operands, symbolic = parsed
+            obj.instrs.append(TextInstr(mnemonic, form, list(operands), lineno, line, symbolic))
         # Labels trailing the last instruction point one past the end.
         if section == "text":
             for label in pending_labels:
@@ -223,65 +249,35 @@ class Assembler:
             return Sym(text)
         raise AssemblerError(f"bad data value {text!r}", lineno)
 
-    def _instruction(self, line, lineno):
+    def _parse_instruction(self, line):
+        """Parse one instruction line: ``(mnemonic, form, operands,
+        symbolic)``, or the message it is rejected with."""
         parts = line.split(None, 1)
         mnemonic = parts[0]
-        instr_def = self.isa.instructions.get(mnemonic)
-        if instr_def is None:
-            raise AssemblerError(f"unknown instruction {mnemonic!r}", lineno)
+        if mnemonic not in self.isa.instructions:
+            return f"unknown instruction {mnemonic!r}"
         operand_text = parts[1].strip() if len(parts) > 1 else ""
         texts = split_operands(operand_text) if operand_text else []
         try:
             operands = [self.isa.syntax.parse_operand(t) for t in texts]
         except ValueError as exc:
-            raise AssemblerError(f"malformed operand: {exc}", lineno) from None
-        self._validate_registers(operands, lineno)
-        last_error = None
-        for form in instr_def.forms:
-            coerced = coerce_to_signature(operands, form.signature)
-            if coerced is None:
-                last_error = "operands do not match any form"
-                continue
-            range_error = self._check_ranges(form, coerced)
-            if range_error:
-                last_error = range_error
-                continue
-            constraint_error = self._check_reg_constraints(form, coerced)
-            if constraint_error:
-                last_error = constraint_error
-                continue
-            return TextInstr(mnemonic, form, coerced, lineno, line)
-        raise AssemblerError(f"{mnemonic}: {last_error or 'no matching form'}", lineno)
-
-    def _validate_registers(self, operands, lineno):
+            return f"malformed operand: {exc}"
         for op in operands:
-            names = []
-            if isinstance(op, Reg):
-                names.append(op.name)
-            elif isinstance(op, Mem) and op.base is not None:
-                names.append(op.base)
-            for name in names:
-                if self.isa.lookup_reg(name) is None:
-                    raise AssemblerError(f"unknown register {name!r}", lineno)
+            name = op.name if isinstance(op, Reg) else getattr(op, "base", None)
+            if name is not None and self.isa.lookup_reg(name) is None:
+                return f"unknown register {name!r}"
+        form, coerced, why = self.isa.match_form(mnemonic, operands)
+        if form is None:
+            return f"{mnemonic}: {why or 'no matching form'}"
+        symbolic = any(_holds_sym(op) for op in coerced)
+        return mnemonic, form, tuple(coerced), symbolic
 
-    def _check_ranges(self, form, operands):
-        for index, (lo, hi) in form.imm_ranges.items():
-            op = operands[index]
-            value = None
-            if isinstance(op, Imm) and isinstance(op.value, int):
-                value = op.value
-            elif isinstance(op, Mem) and isinstance(op.disp, int):
-                value = op.disp
-            if value is not None and not lo <= value <= hi:
-                return f"immediate {value} out of range [{lo},{hi}]"
-        return None
 
-    def _check_reg_constraints(self, form, operands):
-        for index, allowed in form.reg_constraints.items():
-            op = operands[index]
-            if isinstance(op, Reg):
-                canon = self.isa.canonical_reg(op.name)
-                allowed_canon = {self.isa.canonical_reg(a) for a in allowed}
-                if canon not in allowed_canon:
-                    return f"register {op.name} not allowed in position {index}"
-        return None
+def _holds_sym(op):
+    if isinstance(op, Lab):
+        return isinstance(op.target, Sym)
+    if isinstance(op, Imm):
+        return isinstance(op.value, Sym)
+    if isinstance(op, Mem):
+        return isinstance(op.disp, Sym)
+    return False

@@ -9,6 +9,7 @@ call runtime builtins such as ``printf``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.errors import ExecutionError
@@ -90,9 +91,7 @@ class SyntaxDef:
             t = t[1:]
         if not t:
             return None
-        # Longest prefix first so "0x" wins over "0".
-        for prefix in sorted(self.literal_bases, key=len, reverse=True):
-            base = self.literal_bases[prefix]
+        for prefix, base in self._bases_longest_first:
             if prefix:
                 if not t.startswith(prefix):
                     continue
@@ -114,6 +113,11 @@ class SyntaxDef:
 
     def render_int(self, value):
         return str(value)
+
+    @functools.cached_property
+    def _bases_longest_first(self):
+        # Longest prefix first so "0x" wins over "0".
+        return sorted(self.literal_bases.items(), key=lambda item: len(item[0]), reverse=True)
 
 
 class Abi:
@@ -190,24 +194,35 @@ class Isa:
     def resolve_form(self, mnemonic, operands):
         """Select the instruction form *operands* would assemble to.
 
-        Mirrors the assembler's first-matching-form selection: signature
-        coercion, immediate-range checks (skipped for non-integer values,
-        so symbolic immediates pass), and register constraints.  Returns
-        ``(form, coerced_operands)`` or ``None`` when nothing matches.
+        Returns ``(form, coerced_operands)`` or ``None`` when nothing
+        matches (see :meth:`match_form`).
+        """
+        form, coerced, _ = self.match_form(mnemonic, operands)
+        return None if form is None else (form, coerced)
+
+    def match_form(self, mnemonic, operands):
+        """The assembler's first-matching-form selection.
+
+        Tries each form in order: signature coercion, immediate-range
+        checks (skipped for non-integer values, so symbolic immediates
+        pass), then register constraints.  Returns ``(form,
+        coerced_operands, None)`` for the first form that fits, else
+        ``(None, None, why)`` where *why* says what refused the last
+        form (``None`` when *mnemonic* has no forms).
         """
         instr_def = self.instructions.get(mnemonic)
-        if instr_def is None:
-            return None
-        for form in instr_def.forms:
+        why = None
+        for form in instr_def.forms if instr_def else ():
             coerced = coerce_to_signature(operands, form.signature)
             if coerced is None:
+                why = "operands do not match any form"
                 continue
-            if self._range_violation(form, coerced):
-                continue
-            if self._constraint_violation(form, coerced):
-                continue
-            return form, coerced
-        return None
+            why = self._range_violation(form, coerced) or self._constraint_violation(
+                form, coerced
+            )
+            if why is None:
+                return form, coerced, None
+        return None, None, why
 
     def _range_violation(self, form, operands):
         for index, (lo, hi) in form.imm_ranges.items():
@@ -218,8 +233,8 @@ class Isa:
             elif isinstance(op, Mem) and isinstance(op.disp, int):
                 value = op.disp
             if value is not None and not lo <= value <= hi:
-                return True
-        return False
+                return f"immediate {value} out of range [{lo},{hi}]"
+        return None
 
     def _constraint_violation(self, form, operands):
         for index, allowed in form.reg_constraints.items():
@@ -227,8 +242,8 @@ class Isa:
             if isinstance(op, Reg):
                 allowed_canon = {self.canonical_reg(a) for a in allowed}
                 if self.canonical_reg(op.name) not in allowed_canon:
-                    return True
-        return False
+                    return f"register {op.name} not allowed in position {index}"
+        return None
 
     def symbolic_step(self, state, mnemonic, operands):
         """Execute one instruction's semantics against *state*.

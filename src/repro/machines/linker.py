@@ -6,7 +6,8 @@ absolute addresses, and runtime symbols (``printf``, ``exit``, the SPARC
 ``.mul`` family) become negative builtin indices.
 
 Linking never mutates its input objects -- the discovery unit links the
-same ``init.o`` against hundreds of mutated ``main.o`` files.
+same ``init.o`` against hundreds of mutated ``main.o`` files -- and
+shares with the program every instruction that has no symbolic operand.
 """
 
 from __future__ import annotations
@@ -96,23 +97,29 @@ def link(objects, isa, runtime):
         builtin_ids[name] = BUILTIN_BASE - i
 
     def resolve_sym(sym, context):
+        """*context* is the referring instruction, or a description."""
         if sym.name in code_labels:
             return code_labels[sym.name]
         if sym.name in data_labels:
             return data_labels[sym.name]
         if sym.name in builtin_ids:
             return builtin_ids[sym.name]
+        if isinstance(context, TextInstr):
+            context = f"{context.mnemonic} at line {context.lineno}"
         raise LinkerError(f"undefined symbol {sym.name!r} ({context})")
 
     # Pass 3: emit resolved instructions and patch symbolic data words.
     instrs = []
     for obj, rename in zip(objects, renames):
         for instr in obj.instrs:
+            if not instr.symbolic:
+                instrs.append(instr)
+                continue
             operands = [
                 _resolve_operand(op, rename, resolve_sym, instr) for op in instr.operands
             ]
             instrs.append(
-                TextInstr(instr.mnemonic, instr.form, operands, instr.lineno, instr.text)
+                TextInstr(instr.mnemonic, instr.form, operands, instr.lineno, instr.text, False)
             )
 
     cursor = isa.data_start
@@ -178,11 +185,10 @@ def _renamed(sym, rename):
 
 
 def _resolve_operand(op, rename, resolve_sym, instr):
-    context = f"{instr.mnemonic} at line {instr.lineno}"
     if isinstance(op, Lab) and isinstance(op.target, Sym):
-        return Lab(resolve_sym(_renamed(op.target, rename), context))
+        return Lab(resolve_sym(_renamed(op.target, rename), instr))
     if isinstance(op, Imm) and isinstance(op.value, Sym):
-        return Imm(resolve_sym(_renamed(op.value, rename), context))
+        return Imm(resolve_sym(_renamed(op.value, rename), instr))
     if isinstance(op, Mem) and isinstance(op.disp, Sym):
-        return Mem(resolve_sym(_renamed(op.disp, rename), context), op.base)
+        return Mem(resolve_sym(_renamed(op.disp, rename), instr), op.base)
     return op

@@ -14,8 +14,15 @@ verb, probe content), so
 """
 
 import dataclasses
+import json
+import os
+import pathlib
+import signal
+import subprocess
+import sys
 
-
+import repro
+from repro.discovery import cache as cache_module
 from repro.discovery.cache import CachingMachine, ProbeCache, target_fingerprint
 from repro.discovery.driver import ArchitectureDiscovery
 from repro.machines.machine import RemoteMachine
@@ -37,6 +44,7 @@ def test_fingerprints_isolate_architectures(tmp_path):
     assert asm_x86 != asm_mips
     assert x86.compile_c(source) == asm_x86  # now it hits
     assert cache.stats.hits == 1
+    cache.close()
 
 
 def test_toolchain_flag_change_invalidates(tmp_path):
@@ -53,6 +61,7 @@ def test_toolchain_flag_change_invalidates(tmp_path):
     hits_before = cache.stats.hits
     CachingMachine(flagged, cache).compile_c("main(){}")
     assert cache.stats.hits == hits_before  # flag change: no reuse
+    cache.close()
 
 
 def test_corrupted_entries_fall_back_to_live_probes(tmp_path):
@@ -100,6 +109,80 @@ def test_lru_eviction_bounds_the_store(tmp_path):
     reopened = ProbeCache(tmp_path)
     assert reopened.get("fp", "compile", "h0") is None
     assert reopened.get("fp", "compile", "h1") == {"asm": "1"}
+
+
+def test_entries_survive_a_kill_without_close(tmp_path):
+    """Each put is flushed to the OS before it returns: a process killed
+    without :meth:`ProbeCache.close` loses none of the entries it put."""
+    script = (
+        "import os, signal, sys\n"
+        "from repro.discovery.cache import ProbeCache\n"
+        "cache = ProbeCache(sys.argv[1])\n"
+        "for n in range(20):\n"
+        "    cache.put('fp', 'compile', f'h{n}', {'asm': str(n)})\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    child = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env)
+    assert child.returncode == -signal.SIGKILL
+
+    reopened = ProbeCache(tmp_path)
+    for n in range(20):
+        assert reopened.get("fp", "compile", f"h{n}") == {"asm": str(n)}
+    assert reopened.stats.loaded == 20 and reopened.stats.corrupt_entries == 0
+
+
+def _on_disk(directory, fingerprint):
+    shard = directory / f"probes-{fingerprint}.jsonl"
+    return [json.loads(line)["k"] for line in shard.read_text().splitlines()]
+
+
+def test_put_after_shard_eviction_reaches_disk(tmp_path):
+    """GC closes an evicted shard's handle: the next put to that
+    fingerprint reopens the file rather than writing to the deleted one."""
+    cache = ProbeCache(tmp_path)
+    cache.put("fp", "compile", "h0", {"asm": "0"})
+    report = cache.gc(max_age_s=0, now=cache._wall_now() + 60)
+    assert report["evicted_shards"] == ["fp"]
+    assert not (tmp_path / "probes-fp.jsonl").exists()
+
+    cache.put("fp", "compile", "h1", {"asm": "1"})
+    assert _on_disk(tmp_path, "fp") == ["fp:compile:h1"]
+    cache.close()
+
+
+def test_store_holds_one_shard_handle_however_many_shards(tmp_path, monkeypatch):
+    """A service takes fingerprints from its clients, so the number of
+    shards one store writes has no bound: it keeps only the handle of
+    the shard written last open, and every entry still reaches disk."""
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cache_module, "open", tracking_open, raising=False)
+    cache = ProbeCache(tmp_path)
+    shards = 2000
+    for n in range(2 * shards):  # every shard is written, left and reopened
+        cache.put(f"fp{n % shards}", "compile", f"h{n}", {"asm": str(n)})
+        assert not opened[-1].closed and all(h.closed for h in opened[-2:-1])
+    assert sum(not h.closed for h in opened) == 1
+    cache.close()
+    assert all(h.closed for h in opened)
+    for n in range(shards):
+        keys = [f"fp{n}:compile:h{n}", f"fp{n}:compile:h{n + shards}"]
+        assert _on_disk(tmp_path, f"fp{n}") == keys
+
+
+def test_put_after_close_reaches_disk(tmp_path):
+    cache = ProbeCache(tmp_path)
+    cache.put("fp", "compile", "h0", {"asm": "0"})
+    cache.close()
+    cache.put("fp", "compile", "h1", {"asm": "1"})
+    assert _on_disk(tmp_path, "fp") == ["fp:compile:h0", "fp:compile:h1"]
+    cache.close()
 
 
 def test_no_cache_flag_bypasses_reads_and_writes(tmp_path, capsys):

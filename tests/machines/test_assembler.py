@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import AssemblerError
-from repro.machines.assembler import split_operands
-from repro.machines.machine import RemoteMachine
+from repro.machines.assembler import LINE_MEMO_CAP, Assembler, split_operands
+from repro.machines.machine import RemoteMachine, build_model, target_names
 from repro.machines.operands import Imm, Mem, Reg
+from tests.cc.test_battery import CASES
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +103,54 @@ def test_register_constrained_operand():
     x86 = RemoteMachine("x86")
     assert x86.assembles_ok(".text\nsall %ecx, %eax\n")
     assert not x86.assembles_ok(".text\nsall %ebx, %eax\n")
+
+
+# -- the per-connection line memo --------------------------------------
+
+
+@pytest.fixture(scope="module")
+def x86_isa():
+    return build_model("x86").isa
+
+
+def test_memoised_rejection_reports_each_calls_line(x86_isa):
+    asm = Assembler(x86_isa)
+    with pytest.raises(AssemblerError) as at_2:
+        asm.assemble(".text\nmovl $1, $2\n")
+    with pytest.raises(AssemblerError) as at_5:
+        asm.assemble(".text\nnop\nnop\nnop\nmovl $1, $2\n")
+    first, second = str(at_2.value), str(at_5.value)
+    assert first.startswith("line 2: ") and second.startswith("line 5: ")
+    assert first[len("line 2: "):] == second[len("line 5: "):]
+    assert (at_2.value.lineno, at_5.value.lineno) == (2, 5)
+
+
+def test_memoised_line_gives_fresh_instructions(x86_isa):
+    asm = Assembler(x86_isa)
+    first, _, again = asm.assemble(".text\nmovl $5, %eax\nnop\nmovl $5, %eax\n").instrs
+    assert (first.lineno, again.lineno) == (2, 4)
+    assert first.operands == again.operands == [Imm(5), Reg("%eax")]
+    assert first.operands is not again.operands
+
+
+def test_memo_cap_keeps_answers(x86_isa):
+    asm = Assembler(x86_isa)
+    lines = "".join(f"movl ${n}, %eax\n" for n in range(5000))
+    asm.assemble(".text\n" + lines)
+    assert len(asm._memo) <= LINE_MEMO_CAP
+    text = ".text\nmovl $0, %eax\n"
+    assert asm.assemble(text) == Assembler(x86_isa).assemble(text)
+
+
+@pytest.mark.parametrize("target", target_names())
+def test_warm_assembler_matches_fresh_one(target):
+    """Every battery program assembles to the same object through an
+    assembler that has seen them all as through a new one."""
+    machine = RemoteMachine(target)
+    isa = build_model(target).isa
+    texts = [machine.compile_c(source) for _, source, _ in CASES if source is not None]
+    warm = Assembler(isa)
+    for text in texts:
+        warm.assemble(text)
+    for text in texts:
+        assert warm.assemble(text) == Assembler(isa).assemble(text)
