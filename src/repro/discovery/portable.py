@@ -45,6 +45,7 @@ decided*, never *when*, so equal runs freeze to equal bytes.
 from __future__ import annotations
 
 import base64
+import gc
 import json
 import math
 import random
@@ -207,6 +208,11 @@ def _registry():
 # -- freezing -----------------------------------------------------------
 
 
+#: exact types that freeze to themselves (subclasses and floats take
+#: the checks in :meth:`_Freezer.freeze`)
+_SCALARS = frozenset({str, int, bool, type(None)})
+
+
 class _Freezer:
     def __init__(self):
         _, self.by_class = _registry()
@@ -222,6 +228,10 @@ class _Freezer:
         return ref
 
     def freeze(self, obj):
+        # Three in four nodes of a checkpoint are scalar leaves, so the
+        # element loops below test for them before recursing.
+        if type(obj) in _SCALARS:
+            return obj
         if isinstance(obj, float) and not math.isfinite(obj):
             # Strict JSON has no NaN/Infinity literals; a tagged leaf
             # keeps canonical payloads parseable by any JSON reader
@@ -235,19 +245,32 @@ class _Freezer:
             return {TAG: "r", "i": ref}
         if isinstance(obj, list):
             ref = self._assign(obj)
-            return {TAG: "l", "i": ref, "e": [self.freeze(x) for x in obj]}
+            return {
+                TAG: "l",
+                "i": ref,
+                "e": [x if type(x) in _SCALARS else self.freeze(x) for x in obj],
+            }
         if isinstance(obj, dict):
             ref = self._assign(obj)
             return {
                 TAG: "d",
                 "i": ref,
-                "e": [[self.freeze(k), self.freeze(v)] for k, v in obj.items()],
+                "e": [
+                    [
+                        k if type(k) in _SCALARS else self.freeze(k),
+                        v if type(v) in _SCALARS else self.freeze(v),
+                    ]
+                    for k, v in obj.items()
+                ],
             }
         if isinstance(obj, tuple):
-            return {TAG: "t", "e": [self.freeze(x) for x in obj]}
+            return {
+                TAG: "t",
+                "e": [x if type(x) in _SCALARS else self.freeze(x) for x in obj],
+            }
         if isinstance(obj, (set, frozenset)):
             ref = self._assign(obj)
-            frozen = [self.freeze(x) for x in obj]
+            frozen = [x if type(x) in _SCALARS else self.freeze(x) for x in obj]
             frozen.sort(key=lambda item: json.dumps(item, sort_keys=True))
             kind = "fs" if isinstance(obj, frozenset) else "s"
             return {TAG: kind, "i": ref, "e": frozen}
@@ -387,12 +410,20 @@ def canonical_bytes(data):
             separators=(",", ":"),
             ensure_ascii=True,
             allow_nan=False,
+            # freeze output is a tree of fresh nodes (sharing is an "r"
+            # node), so the encoder's cycle bookkeeping is pure cost; a
+            # cyclic structure still ends in the RecursionError below
+            check_circular=False,
         ).encode("ascii")
     except ValueError as exc:
         # allow_nan=False rejects any non-finite float that slipped
         # through untagged -- a typed error beats emitting "NaN", which
         # strict JSON readers (and the service's clients) cannot parse.
         raise PortableError(f"payload is not strict JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise PortableError(
+            "payload is cyclic or nested too deeply to render"
+        ) from exc
 
 
 def from_canonical(blob):
@@ -409,7 +440,16 @@ def from_canonical(blob):
 
 def dumps(obj):
     """Freeze and render in one step."""
-    return canonical_bytes(freeze(obj))
+    # The frozen tree is acyclic and reference counting frees it once it
+    # is rendered, so the cyclic collections its allocations would
+    # trigger only rescan the caller's heap.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return canonical_bytes(freeze(obj))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def loads(blob):

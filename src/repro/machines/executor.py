@@ -5,6 +5,13 @@ instruction.  Control transfer uses instruction indices; negative indices
 denote runtime builtins (``printf``, ``exit``, SPARC ``.mul``...).  A fuel
 counter bounds runaway executions, which mutation analysis can easily
 produce.
+
+Each simulated step is kept cheap without specialising anything per
+program.  The register file is a dict keyed by canonical name that also
+holds every hardwired register at its constant; the name-to-canonical
+maps it reads and writes through are built once per :class:`Isa`.
+:func:`read`, :func:`write` and :func:`effaddr` branch once on the
+operand's type.  :class:`Memory` keeps its bytes in zero-filled pages.
 """
 
 from __future__ import annotations
@@ -23,9 +30,18 @@ BUILTIN_BASE = -10
 
 DEFAULT_FUEL = 500_000
 
+#: bytes per :class:`Memory` page (a power of two)
+PAGE = 4096
+_PAGE_SHIFT = PAGE.bit_length() - 1
+_OFFSET_MASK = PAGE - 1
+
 
 class Memory:
     """Byte-addressed sparse memory with configurable endianness.
+
+    Bytes live in zero-filled pages of :data:`PAGE` bytes, each created
+    by the first store into it.  An access inside one page is one slice;
+    one that straddles two pages goes byte by byte.
 
     Uninitialised bytes read as zero, which is deterministic; the
     discovery unit defends against lucky zeroes with register clobbering
@@ -36,43 +52,60 @@ class Memory:
         if endian not in ("little", "big"):
             raise ValueError(f"bad endianness {endian!r}")
         self.endian = endian
-        self._bytes = {}
+        self._pages = {}
 
     def copy(self):
         clone = Memory(self.endian)
-        clone._bytes = dict(self._bytes)
+        clone._pages = {number: page[:] for number, page in self._pages.items()}
         return clone
 
+    def _page(self, addr):
+        """The page holding *addr*, created zero-filled if absent."""
+        page = self._pages.get(addr >> _PAGE_SHIFT)
+        if page is None:
+            page = self._pages[addr >> _PAGE_SHIFT] = bytearray(PAGE)
+        return page
+
+    def _byte(self, addr):
+        page = self._pages.get(addr >> _PAGE_SHIFT)
+        return 0 if page is None else page[addr & _OFFSET_MASK]
+
     def load(self, addr, size, signed=False):
-        data = [self._bytes.get(addr + i, 0) for i in range(size)]
-        if self.endian == "little":
-            data.reverse()
-        value = 0
-        for byte in data:
-            value = (value << 8) | byte
+        offset = addr & _OFFSET_MASK
+        if offset + size <= PAGE:
+            page = self._pages.get(addr >> _PAGE_SHIFT)
+            if page is None:
+                return 0
+            data = page[offset : offset + size]
+        else:
+            data = bytes(self._byte(addr + i) for i in range(size))
+        value = int.from_bytes(data, self.endian)
         if signed:
             value = wordops.to_signed(value, size * 8)
         return value
 
     def store(self, addr, value, size):
-        value = wordops.mask(value, size * 8)
-        for i in range(size):
-            byte = (value >> (8 * i)) & 0xFF
-            if self.endian == "little":
-                self._bytes[addr + i] = byte
-            else:
-                self._bytes[addr + size - 1 - i] = byte
+        data = wordops.mask(value, size * 8).to_bytes(size, self.endian)
+        offset = addr & _OFFSET_MASK
+        if offset + size <= PAGE:
+            self._page(addr)[offset : offset + size] = data
+        else:
+            self.store_bytes(addr, data)
 
     def store_bytes(self, addr, data):
-        for i, byte in enumerate(data):
-            self._bytes[addr + i] = byte
+        offset = addr & _OFFSET_MASK
+        if offset + len(data) <= PAGE:
+            self._page(addr)[offset : offset + len(data)] = data
+        else:
+            for i, byte in enumerate(data):
+                self._page(addr + i)[(addr + i) & _OFFSET_MASK] = byte
 
     def load_cstring(self, addr, limit=4096):
-        chars = []
+        chars = bytearray()
         for i in range(limit):
-            byte = self._bytes.get(addr + i, 0)
+            byte = self._byte(addr + i)
             if byte == 0:
-                return bytes(chars).decode("latin-1")
+                return chars.decode("latin-1")
             chars.append(byte)
         raise ExecutionError("unterminated string in target memory")
 
@@ -106,7 +139,15 @@ class ExecState:
     def __init__(self, isa, memory):
         self.isa = isa
         self.mem = memory
-        self.regs = {r.name: 0 for r in isa.registers}
+        self.word_bits = isa.word_bits
+        self.word_bytes = isa.word_bits // 8
+        self.word_mask = (1 << isa.word_bits) - 1
+        self._read_map = isa.reg_read_map
+        self._write_map = isa.reg_write_map
+        self.regs = {
+            r.name: 0 if r.hardwired is None else wordops.mask(r.hardwired, isa.word_bits)
+            for r in isa.registers
+        }
         # Signed comparison outcome, in the style every target's condition
         # codes can be projected onto: set by compare-like instructions.
         self.cc = {"lt": False, "eq": True, "gt": False}
@@ -121,20 +162,21 @@ class ExecState:
     # -- registers ---------------------------------------------------
 
     def get_reg(self, name):
-        reg = self.isa.lookup_reg(name)
-        if reg is None:
-            raise ExecutionError(f"unknown register {name!r}")
-        if reg.hardwired is not None:
-            return wordops.mask(reg.hardwired, self.isa.word_bits)
-        return self.regs[reg.name]
+        try:
+            return self.regs[self._read_map[name]]
+        except KeyError:
+            raise ExecutionError(f"unknown register {name!r}") from None
 
     def set_reg(self, name, value):
-        reg = self.isa.lookup_reg(name)
-        if reg is None:
+        canonical = self._write_map.get(name)
+        if canonical is None:
+            if name in self._read_map:
+                return  # writes to hardwired registers are discarded
             raise ExecutionError(f"unknown register {name!r}")
-        if reg.hardwired is not None:
-            return  # writes to hardwired registers are discarded
-        self.regs[reg.name] = wordops.mask(value, self.isa.word_bits)
+        if type(value) is int:
+            self.regs[canonical] = value & self.word_mask
+        else:
+            self.regs[canonical] = wordops.mask(value, self.word_bits)
 
     # -- control flow ------------------------------------------------
 
@@ -152,35 +194,45 @@ class ExecState:
             self._pending_delay = delay + 1
 
     def compare_signed(self, a, b):
-        a = wordops.to_signed(a, self.isa.word_bits)
-        b = wordops.to_signed(b, self.isa.word_bits)
+        a = wordops.to_signed(a, self.word_bits)
+        b = wordops.to_signed(b, self.word_bits)
         self.cc = {"lt": a < b, "eq": a == b, "gt": a > b}
 
 
 # -- operand access helpers (used by every target's semantics hooks) ---
+#
+# Each branches once on the operand's exact type, most frequent kind
+# first; no class derives from Reg, Mem, Imm or Lab.
 
 
 def effaddr(state, op):
     """Effective address of a memory operand."""
-    if not isinstance(op, Mem):
+    if type(op) is not Mem:
         raise ExecutionError(f"not a memory operand: {op!r}")
-    if not isinstance(op.disp, int):
-        raise ExecutionError(f"unresolved displacement {op.disp!r}")
-    base = state.get_reg(op.base) if op.base else 0
-    return wordops.mask(base + op.disp, state.isa.word_bits)
+    disp = op.disp
+    if not isinstance(disp, int):
+        raise ExecutionError(f"unresolved displacement {disp!r}")
+    addr = state.get_reg(op.base) + disp if op.base else disp
+    if type(addr) is int:
+        return addr & state.word_mask
+    return wordops.mask(addr, state.word_bits)
 
 
 def read(state, op, size=None):
     """Read the value of an operand (register, immediate, or memory)."""
-    if isinstance(op, Reg):
+    kind = type(op)
+    if kind is Reg:
         return state.get_reg(op.name)
-    if isinstance(op, Imm):
-        if not isinstance(op.value, int) and not hasattr(op.value, "__sym_apply__"):
-            raise ExecutionError(f"unresolved immediate {op.value!r}")
-        return wordops.mask(op.value, state.isa.word_bits)
-    if isinstance(op, Mem):
-        return state.mem.load(effaddr(state, op), size or state.isa.word_bytes)
-    if isinstance(op, Lab):
+    if kind is Mem:
+        return state.mem.load(effaddr(state, op), size or state.word_bytes)
+    if kind is Imm:
+        value = op.value
+        if type(value) is int:
+            return value & state.word_mask
+        if not isinstance(value, int) and not hasattr(value, "__sym_apply__"):
+            raise ExecutionError(f"unresolved immediate {value!r}")
+        return wordops.mask(value, state.word_bits)
+    if kind is Lab:
         if not isinstance(op.target, int):
             raise ExecutionError(f"unresolved label {op.target!r}")
         return op.target
@@ -189,10 +241,11 @@ def read(state, op, size=None):
 
 def write(state, op, value, size=None):
     """Write *value* to a register or memory operand."""
-    if isinstance(op, Reg):
+    kind = type(op)
+    if kind is Reg:
         state.set_reg(op.name, value)
-    elif isinstance(op, Mem):
-        state.mem.store(effaddr(state, op), value, size or state.isa.word_bytes)
+    elif kind is Mem:
+        state.mem.store(effaddr(state, op), value, size or state.word_bytes)
     else:
         raise ExecutionError(f"cannot write operand {op!r}")
 

@@ -171,6 +171,13 @@ class Isa:
             self._regmap[reg.name] = reg
             for alias in reg.aliases:
                 self._regmap[alias] = reg
+        # Name or alias -> canonical name, built once for the executor's
+        # register file: every register can be read, hardwired ones
+        # cannot be written.
+        self.reg_read_map = {name: reg.name for name, reg in self._regmap.items()}
+        self.reg_write_map = {
+            name: reg.name for name, reg in self._regmap.items() if reg.hardwired is None
+        }
 
     @property
     def word_bytes(self):

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.machines.machine import RemoteMachine
+from repro import wordops
+from repro.analysis.symexec import SymVal, fresh
+from repro.errors import ExecutionError
+from repro.machines import executor
+from repro.machines.executor import ExecState, Memory
+from repro.machines.machine import RemoteMachine, build_model, target_names
+from repro.machines.operands import Bare, Imm, Lab, Mem, Reg, Sym
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +123,81 @@ def test_stats_count_executions(x86):
     before = x86.stats.executions
     run(x86, "pushl $0\ncall exit")
     assert x86.stats.executions == before + 1
+
+
+# -- register file, per target ----------------------------------------------
+
+HARDWIRED = {"sparc": {"%g0"}, "mips": {"$0"}, "alpha": {"$31"}}
+
+
+def _state(target):
+    isa = build_model(target).isa
+    return isa, ExecState(isa, Memory(isa.endian))
+
+
+@pytest.mark.parametrize("target", target_names())
+def test_register_file_names_and_aliases(target):
+    isa, state = _state(target)
+    word = (1 << isa.word_bits) - 1
+    # The verifier's def/use diff reads state.regs by canonical name.
+    assert list(state.regs) == [r.name for r in isa.registers]
+    writable = [r for r in isa.registers if r.hardwired is None]
+    for n, reg in enumerate(writable):
+        for name in (reg.name, *reg.aliases):
+            value = -(n + 1) * 0x1_0000_0001 - len(name)
+            state.set_reg(name, value)
+            assert state.get_reg(reg.name) == value & word, name
+            assert state.get_reg(name) == value & word, name
+    assert {r.name for r in isa.registers if r.hardwired is not None} == HARDWIRED.get(
+        target, set()
+    )
+
+
+@pytest.mark.parametrize("target", sorted(HARDWIRED))
+def test_hardwired_registers_read_zero_and_discard_writes(target):
+    isa, state = _state(target)
+    for name in HARDWIRED[target]:
+        assert state.get_reg(name) == 0
+        state.set_reg(name, 1234)
+        assert state.get_reg(name) == 0
+        assert state.regs[name] == 0
+
+
+@pytest.mark.parametrize("target", target_names())
+def test_unknown_register_is_an_execution_error(target):
+    _, state = _state(target)
+    with pytest.raises(ExecutionError) as read_error:
+        state.get_reg("%zz")
+    with pytest.raises(ExecutionError) as write_error:
+        state.set_reg("%zz", 1)
+    assert str(read_error.value) == str(write_error.value) == "unknown register '%zz'"
+
+
+# -- operand dispatch errors ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "access, op, message",
+    [
+        (executor.read, Imm(Sym("x")), "unresolved immediate Sym(x)"),
+        (executor.read, Lab(Sym("L")), "unresolved label Sym(L)"),
+        (executor.read, Bare("x"), "cannot read operand Bare(name='x')"),
+        (lambda s, op: executor.write(s, op, 1), Imm(1), "cannot write operand Imm(1)"),
+        (lambda s, op: executor.write(s, op, 1), Lab(3), "cannot write operand Lab(3)"),
+        (executor.effaddr, Reg("%eax"), "not a memory operand: Reg(%eax)"),
+        (executor.effaddr, Mem(Sym("x"), None), "unresolved displacement Sym(x)"),
+    ],
+)
+def test_operand_dispatch_errors(access, op, message):
+    _, state = _state("x86")
+    with pytest.raises(ExecutionError) as error:
+        access(state, op)
+    assert str(error.value) == message
+
+
+def test_symbolic_immediate_reads_as_a_masked_symbolic_word():
+    isa, state = _state("x86")
+    word = fresh("w")
+    value = executor.read(state, Imm(word))
+    assert isinstance(value, SymVal)
+    assert value.term == wordops.mask(word, isa.word_bits).term
