@@ -21,8 +21,6 @@ import time
 
 import pytest
 
-from benchmarks import _emit
-
 from repro.discovery.driver import ArchitectureDiscovery
 from repro.discovery.durable import DurableRun, machine_from_config
 from repro.machines.crashes import CrashPlan, SimulatedCrash
@@ -116,7 +114,6 @@ def test_resume_cost_cold_vs_warm_cache(benchmark, tmp_path):
 
     payload = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     benchmark.extra_info.update(payload)
-    _emit.record("resume", {"cold_vs_warm_cache": payload})
 
     # Identity is the contract; speed is the observation.
     assert payload["cold_spec_identical"]

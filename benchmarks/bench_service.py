@@ -21,8 +21,6 @@ import os
 import threading
 import time
 
-from benchmarks import _emit
-
 from repro.discovery.driver import ArchitectureDiscovery
 from repro.machines.machine import RemoteMachine
 from repro.service.app import DiscoveryService
@@ -94,7 +92,6 @@ def test_cold_vs_warm_shared_cache(benchmark, tmp_path):
 
     payload = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     benchmark.extra_info.update(payload)
-    _emit.record("service", {"cold_vs_warm_shared_cache": payload})
 
     assert payload["cold_spec_identical"]
     assert payload["warm_spec_identical"]
@@ -123,7 +120,6 @@ def test_adaptive_vs_fixed_sizing(benchmark, tmp_path):
 
     payload = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     benchmark.extra_info.update(payload)
-    _emit.record("service", {"adaptive_vs_fixed_sizing": payload})
 
     # identity across every venue is the contract
     assert payload["specs_identical"]

@@ -26,8 +26,6 @@ import threading
 import time
 import urllib.request
 
-from benchmarks import _emit
-
 from repro.service.app import DiscoveryService
 from repro.service.cache_client import RemoteProbeCache
 from repro.service.client import ServiceClient, ServiceError
@@ -147,7 +145,6 @@ def test_control_plane_latency(benchmark, tmp_path):
 
     payload = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     benchmark.extra_info.update(payload)
-    _emit.record("service_load", {"control_plane_latency": payload})
 
     assert payload["open"]["requests"] == THREADS * REQUESTS_PER_THREAD
     assert payload["tenanted"]["requests"] == THREADS * REQUESTS_PER_THREAD
@@ -192,7 +189,6 @@ def test_batched_vs_single_cache(benchmark, tmp_path):
 
     payload = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     benchmark.extra_info.update(payload)
-    _emit.record("service_load", {"batched_vs_single_cache": payload})
 
     # the batch contract: N warm lookups cost O(1) round trips
     assert payload["batched_round_trips"] == 1
@@ -233,7 +229,6 @@ def test_shed_behaviour(benchmark, tmp_path):
 
     payload = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     benchmark.extra_info.update(payload)
-    _emit.record("service_load", {"shed_behaviour": payload})
 
     assert payload["admitted"] == WATERMARK
     assert payload["shed"] == WATERMARK * 2

@@ -14,8 +14,6 @@ must be bit-for-bit the clean one's.
 import os
 import time
 
-from benchmarks import _emit
-
 from repro.discovery.driver import ArchitectureDiscovery
 from repro.discovery.supervisor import CampaignPolicy, CampaignSupervisor
 from repro.machines.crashes import FleetKillPlan
@@ -78,7 +76,6 @@ def test_campaign_overhead_zero_vs_two_kills(benchmark, tmp_path):
 
     payload = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     benchmark.extra_info.update(payload)
-    _emit.record("supervisor", {"zero_vs_two_kills": payload})
 
     # Identity is the contract; the wall-clock delta is the observation.
     assert payload["clean_spec_identical"]

@@ -84,15 +84,16 @@ round-trip latency -- a venue knob, so the spec cannot change.
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
+from typing import Callable, NamedTuple
 
 from repro.machines.machine import RemoteMachine, target_names
 
 
 def _cmd_targets(args):
     if getattr(args, "json", False):
-        import json
-
         from repro.discovery.cache import target_fingerprint
 
         listing = []
@@ -149,17 +150,14 @@ def _crash_plan(args):
     return CrashPlan.parse(args.crash_at, kill=args.crash_kill)
 
 
-def _discover_cache(args, config=None):
+def _discover_cache(args, manifest):
     """The probe cache for a discover run: a service URL beats a local
     directory (CLI flag beats manifest either way), --no-cache beats
     everything."""
     if args.no_cache:
         return None
-    manifest = config or {}
     url = args.cache_url or manifest.get("cache_url")
     if url:
-        import os
-
         from repro.service.app import FLEET_TOKEN_ENV
         from repro.service.cache_client import RemoteProbeCache
 
@@ -170,9 +168,13 @@ def _discover_cache(args, config=None):
 
 
 def _cmd_discover(args):
-    from repro.discovery.driver import ArchitectureDiscovery, DiscoveryInterrupted
+    from repro.discovery.driver import (
+        CHECKPOINT_EVERY,
+        ArchitectureDiscovery,
+        DiscoveryInterrupted,
+    )
 
-    resume_checkpoint = None
+    resume_checkpoint, manifest = None, {}
     if args.resume:
         # Everything that shapes the discovered spec -- target, fault
         # plan, seed, resilience knobs, checkpoint cadence -- comes from
@@ -180,14 +182,22 @@ def _cmd_discover(args):
         # run.  Only venue knobs (workers, extract procs) may differ.
         from repro.discovery.durable import DurableRun, machine_from_config
 
-        run = DurableRun.open(args.resume)
-        machine, resilience = machine_from_config(run.config)
+        run_dir = DurableRun.open(args.resume)
+        manifest = run_dir.config
+        machine, resilience = machine_from_config(manifest)
         if getattr(args, "votes", None):
             # The supervisor's escalation ladder raises votes on a
             # struggling campaign; votes are a venue knob (majority
             # voting changes cost, never the deterministic answer).
             resilience.votes = args.votes
-        resume_checkpoint, warnings = run.load_checkpoint()
+        seed = manifest.get("seed", args.seed)
+        checkpoint_every = manifest.get("checkpoint_every")
+        workers = args.workers
+        if workers is None and manifest.get("adaptive_workers"):
+            # The original run sized itself; the resumed run re-derives
+            # the same width from the manifest-recorded measurements.
+            workers = "auto"
+        resume_checkpoint, warnings = run_dir.load_checkpoint()
         for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)
         if resume_checkpoint is None:
@@ -195,40 +205,25 @@ def _cmd_discover(args):
                 f"no loadable checkpoint in {args.resume}; starting from scratch",
                 file=sys.stderr,
             )
-        workers = args.workers
-        if workers is None and run.config.get("adaptive_workers"):
-            # The original run sized itself; the resumed run re-derives
-            # the same width from the manifest-recorded measurements.
-            workers = "auto"
-        discovery = ArchitectureDiscovery(
-            machine,
-            seed=run.config.get("seed", args.seed),
-            resilience=resilience,
-            workers=workers,
-            cache=_discover_cache(args, run.config),
-            extract_procs=args.extract_procs,
-            run_dir=run,
-            crash_plan=_crash_plan(args),
-            checkpoint_every=run.config.get("checkpoint_every"),
-            verify=args.verify,
-        )
+    elif args.target is None:
+        print("discover: a target (or --resume RUNDIR) is required", file=sys.stderr)
+        return 2
     else:
-        if args.target is None:
-            print("discover: a target (or --resume RUNDIR) is required", file=sys.stderr)
-            return 2
-        machine = _build_machine(args)
-        discovery = ArchitectureDiscovery(
-            machine,
-            seed=args.seed,
-            resilience=_resilience_config(args),
-            workers=args.workers,
-            cache=_discover_cache(args),
-            extract_procs=args.extract_procs,
-            run_dir=args.run_dir,
-            crash_plan=_crash_plan(args),
-            checkpoint_every=args.checkpoint_every,
-            verify=args.verify,
-        )
+        machine, resilience = _build_machine(args), _resilience_config(args)
+        run_dir, seed, workers = args.run_dir, args.seed, args.workers
+        checkpoint_every = args.checkpoint_every
+    discovery = ArchitectureDiscovery(
+        machine,
+        seed=seed,
+        resilience=resilience,
+        workers=workers,
+        cache=_discover_cache(args, manifest),
+        extract_procs=args.extract_procs,
+        run_dir=run_dir,
+        crash_plan=_crash_plan(args),
+        checkpoint_every=CHECKPOINT_EVERY if checkpoint_every is None else checkpoint_every,
+        verify=args.verify,
+    )
     lease = None
     lease_dir = args.resume or args.run_dir
     if getattr(args, "heartbeat_every", None) and lease_dir:
@@ -361,28 +356,6 @@ def _cmd_run(args):
     return 0 if result.ok else 1
 
 
-def _atomic_write_text(path, text):
-    """Write-temp-then-rename: readers of *path* (CI artifact uploads,
-    concurrent lint runs) never observe a half-written report."""
-    import os
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(
-        dir=directory, prefix=f".{os.path.basename(path)}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def _check_targets(targets):
     unknown = [t for t in targets if t not in target_names()]
     if unknown:
@@ -453,7 +426,9 @@ def _emit_findings(merged, args, tool):
 
     text = render(merged, args.format, tool=tool)
     if args.out:
-        _atomic_write_text(args.out, text + "\n")
+        from repro.discovery.durable import atomic_write
+
+        atomic_write(args.out, text + "\n")
         print(f"wrote {args.out}")
     else:
         print(text)
@@ -544,8 +519,6 @@ def _cmd_verify_spec(args):
 
 
 def _cmd_cache_info(args):
-    import json
-
     from repro.discovery.cache import cache_info
 
     info = cache_info(args.directory)
@@ -672,63 +645,51 @@ def _client_wait(client, job_id, timeout):
     return 0 if status["state"] == jobstates.DONE else 1
 
 
+def _print_json(payload):
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return 0
+
+
+def _client_submit(client, args):
+    job = client.submit(
+        args.targets,
+        seed=args.seed,
+        workers=args.workers,
+        max_attempts=args.max_attempts,
+        escalate_votes=args.escalate_votes,
+        priority=args.priority,
+        deadline_s=args.deadline_s,
+    )
+    _print_json(job)
+    if args.wait:
+        return _client_wait(client, job["id"], args.timeout)
+    return 0
+
+
+def _client_spec(client, args):
+    payload = client.spec(args.job)
+    if args.out:
+        import pathlib
+
+        outdir = pathlib.Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for target, text in sorted(payload["specs"].items()):
+            path = outdir / f"{target}.beg"
+            path.write_text(text)
+            print(f"wrote {path}")
+    else:
+        for target, text in sorted(payload["specs"].items()):
+            print(text, end="")
+    return 0
+
+
 def _cmd_client(args):
-    import json
-
     from repro.service.client import ServiceClient, ServiceError
-
-    import os
 
     token = args.token or os.environ.get("REPRO_SERVICE_TOKEN")
     client = ServiceClient(args.url, token=token)
     try:
-        if args.action == "submit":
-            job = client.submit(
-                args.targets,
-                seed=args.seed,
-                workers=args.workers,
-                max_attempts=args.max_attempts,
-                escalate_votes=args.escalate_votes,
-                priority=args.priority,
-                deadline_s=args.deadline_s,
-            )
-            print(json.dumps(job, indent=2, sort_keys=True))
-            if args.wait:
-                return _client_wait(client, job["id"], args.timeout)
-            return 0
-        if args.action == "status":
-            print(json.dumps(client.status(args.job), indent=2, sort_keys=True))
-            return 0
-        if args.action == "wait":
-            return _client_wait(client, args.job, args.timeout)
-        if args.action == "spec":
-            payload = client.spec(args.job)
-            if args.out:
-                import pathlib
-
-                outdir = pathlib.Path(args.out)
-                outdir.mkdir(parents=True, exist_ok=True)
-                for target, text in sorted(payload["specs"].items()):
-                    path = outdir / f"{target}.beg"
-                    path.write_text(text)
-                    print(f"wrote {path}")
-            else:
-                for target, text in sorted(payload["specs"].items()):
-                    print(text, end="")
-            return 0
-        if args.action == "cancel":
-            print(json.dumps(client.cancel(args.job), indent=2, sort_keys=True))
-            return 0
-        if args.action == "stats":
-            print(json.dumps(client.stats(), indent=2, sort_keys=True))
-            return 0
-        if args.action == "jobs":
-            print(json.dumps(client.jobs(), indent=2, sort_keys=True))
-            return 0
-        if args.action == "readyz":
-            print(json.dumps(client.readyz(), indent=2, sort_keys=True))
-            return 0
-        raise AssertionError(f"unhandled client action {args.action!r}")
+        return CLIENT_ACTIONS[args.action].handler(client, args)
     except ServiceError as exc:
         print(f"client error: {exc}", file=sys.stderr)
         return 1
@@ -753,463 +714,314 @@ def _workers_arg(text):
         ) from None
 
 
-def main(argv=None):
+# -- the command line as tables ------------------------------------------
+#
+# An argument is its ``add_argument`` names and keywords.  One that means
+# the same in several commands is defined once below and listed by each
+# command that takes it; the others are defined inline in their row.
+
+
+def _arg(*names, **spec):
+    return names, spec
+
+
+SEED = _arg("--seed", type=int, default=1997)
+TARGETS = _arg("targets", nargs="+", choices=target_names())
+# No choices= on the optional list: argparse (3.11) validates the empty
+# default of a nargs="*" positional against choices and rejects it;
+# _check_targets validates the names instead.
+OPTIONAL_TARGETS = _arg(
+    "targets", nargs="*", metavar="target",
+    help="targets to discover and check (default: all; lint checks none "
+    "when --source is given)",
+)
+PROGRAM = _arg("--program", required=True, help="language-A file, or -")
+JSON = _arg("--json", action="store_true", help="machine-readable output")
+WORKERS = _arg(
+    "--workers", type=_workers_arg, default=None, metavar="N|auto",
+    help="concurrent target connections per discovery run (a venue knob; "
+    "default: $REPRO_WORKERS or 1); 'auto' sizes from measured verb latency",
+)
+CACHE_DIR = _arg(
+    "--cache-dir", default=None, metavar="PATH",
+    help="persist probe results here, shared by every worker; repeat runs "
+    "skip remote verbs (serve default: ROOT/cache)",
+)
+CACHE_URL = _arg(
+    "--cache-url", default=None, metavar="URL",
+    help="share a discovery service's probe cache over HTTP "
+    "(beats --cache-dir; see 'repro serve')",
+)
+FLEET = _arg(
+    "--fleet", type=int, default=2, metavar="N",
+    help="concurrent worker processes; serve shares them across all jobs (default: 2)",
+)
+HEARTBEAT_EVERY = _arg(
+    "--heartbeat-every", type=float, default=0.5, metavar="SECONDS",
+    help="worker lease heartbeat interval; 0 disables (default: 0.5)",
+)
+LEASE_TIMEOUT = _arg(
+    "--lease-timeout", type=float, default=10.0, metavar="SECONDS",
+    help="missed-lease window before a worker is declared wedged "
+    "and killed (default: 10)",
+)
+ESCALATE_VOTES = _arg(
+    "--escalate-votes", type=int, default=None, metavar="N",
+    help="also raise resilience votes to N when escalating",
+)
+TIMEOUT = _arg(
+    "--timeout", type=float, default=None, metavar="SECONDS",
+    help="give up waiting after this long (the job keeps running)",
+)
+JOB = _arg("job", metavar="JOB_ID")
+FORMAT = _arg(
+    "--format", choices=("text", "json", "sarif"), default="text",
+    help="output format (default: text)",
+)
+FAIL_ON = _arg(
+    "--fail-on", choices=("error", "warning", "never"), default="error",
+    help="exit 1 when a finding at this severity or worse exists",
+)
+REPORT_OUT = _arg("--out", help="write the report to this file (atomically)")
+JOBS = _arg(
+    "--jobs", type=int, default=1, metavar="N",
+    help="check up to N targets in parallel worker processes "
+    "(output is target-ordered and identical for any N)",
+)
+
+
+class Command(NamedTuple):
+    help: str
+    handler: Callable
+    arguments: tuple
+
+
+COMMANDS = {
+    "targets": Command("list the simulated machines", _cmd_targets, (JSON,)),
+    "discover": Command("run architecture discovery", _cmd_discover, (
+        _arg("target", nargs="?", choices=target_names()),
+        _arg("--out", help="write artifacts to this directory"),
+        SEED,
+        _arg("--flaky", type=_fault_rate, default=0.0, metavar="RATE",
+             help="inject transient target faults at this rate (0..1)"),
+        _arg("--fault-seed", type=int, default=0xFA17,
+             help="seed for the deterministic fault plan"),
+        _arg("--max-retries", type=int, default=4,
+             help="retries per remote interaction before quarantine"),
+        WORKERS,
+        _arg("--extract-procs", type=int, default=None, metavar="N",
+             help="worker processes for the CPU-bound extraction phases "
+             "(default: $REPRO_EXTRACT_PROCS or 1)"),
+        CACHE_DIR,
+        CACHE_URL,
+        _arg("--no-cache", action="store_true",
+             help="bypass the probe cache entirely (no reads, no writes)"),
+        _arg("--latency", type=float, default=0.0, metavar="SECONDS",
+             help="simulated per-verb target round-trip time"),
+        _arg("--run-dir", default=None, metavar="DIR",
+             help="commit crash-durable checkpoints to this run directory"),
+        _arg("--resume", default=None, metavar="RUNDIR",
+             help="resume a killed run from its run directory "
+             "(target and fault plan come from the manifest)"),
+        _arg("--checkpoint-every", type=int, default=None, metavar="N",
+             help="per-sample completion records per durable commit in the "
+             "fan-out phases (default: 8)"),
+        _arg("--crash-at", default=None, metavar="SPEC",
+             help="crash injection: before:<phase>, after:<phase>, or "
+             "sample:<phase>:<n> (underscores stand for spaces)"),
+        _arg("--crash-kill", action="store_true",
+             help="SIGKILL the process at the --crash-at point instead of "
+             "raising (a real unclean death, for the e2e tests)"),
+        _arg("--heartbeat-every", type=float, default=None, metavar="SECONDS",
+             help="heartbeat a liveness lease into the run directory at this "
+             "interval (used by the campaign supervisor; needs --run-dir or "
+             "--resume)"),
+        _arg("--verify", action="store_true",
+             help="append a translation-validation phase: prove every "
+             "synthesised rule against the machine model; findings land in "
+             "the report diagnostics and the summary"),
+        _arg("--votes", type=int, default=None, metavar="N",
+             help="override the resilience vote count (a venue knob: changes "
+             "cost, never the discovered spec)"),
+    )),
+    "campaign": Command(
+        "supervise discovery campaigns against many targets", _cmd_campaign, (
+            TARGETS,
+            _arg("--root", required=True, metavar="DIR",
+                 help="campaign root: per-target run/out/log directories live here"),
+            FLEET,
+            SEED,
+            CACHE_DIR,
+            CACHE_URL,
+            WORKERS,
+            _arg("--max-attempts", type=int, default=5, metavar="N",
+                 help="worker attempts per campaign before quarantine (default: 5)"),
+            _arg("--backoff", type=float, default=0.5, metavar="SECONDS",
+                 help="base retry backoff, doubled per failure (default: 0.5)"),
+            _arg("--escalate-after", type=int, default=2, metavar="N",
+                 help="failures before relaunching with escalated venue knobs "
+                 "(--workers 1 --no-cache) (default: 2)"),
+            ESCALATE_VOTES,
+            HEARTBEAT_EVERY,
+            LEASE_TIMEOUT,
+            _arg("--deadline", type=float, default=None, metavar="SECONDS",
+                 help="wall-clock budget for the whole campaign fleet; unfinished "
+                 "campaigns emit partial specs and incomplete.json"),
+            _arg("--chaos-kills", type=int, default=0, metavar="N",
+                 help="chaos harness: SIGKILL each campaign's worker N times at "
+                 "seeded points before letting it finish"),
+            _arg("--chaos-seed", type=int, default=0xC4A0, metavar="N",
+                 help="seed for the chaos kill schedule"),
+        ),
+    ),
+    "cache-info": Command(
+        "inventory a probe-cache directory's shards", _cmd_cache_info,
+        (_arg("directory", metavar="DIR"), JSON),
+    ),
+    "serve": Command("run the discovery service (HTTP/JSON control plane)", _cmd_serve, (
+        _arg("--root", required=True, metavar="DIR",
+             help="service state root: jobs/, campaigns/, cache/ live here"),
+        _arg("--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)"),
+        _arg("--port", type=int, default=0, metavar="P",
+             help="listen port (default: 0 = ephemeral, printed at startup)"),
+        FLEET,
+        CACHE_DIR,
+        HEARTBEAT_EVERY,
+        LEASE_TIMEOUT,
+        _arg("--poll-interval", type=float, default=0.2, metavar="SECONDS",
+             help="fleet loop tick (default: 0.2)"),
+        _arg("--clients", default=None, metavar="FILE",
+             help="clients.json tenant table (default: ROOT/clients.json; "
+             "absent file = open mode, no auth)"),
+        _arg("--max-backlog", type=int, default=None, metavar="N",
+             help="admission watermark: open targets beyond this are shed "
+             "with a 503 (default: fleet * 8)"),
+        _arg("--cache-max-bytes", type=int, default=None, metavar="BYTES",
+             help="probe-cache size bound: GC evicts least-recently-touched "
+             "shards above this (default: unbounded)"),
+        _arg("--cache-max-age", type=float, default=None, metavar="SECONDS",
+             help="probe-cache age bound: shards untouched this long are "
+             "evicted (default: unbounded)"),
+        _arg("--gc-interval", type=float, default=60.0, metavar="SECONDS",
+             help="cache GC cadence inside the fleet loop (default: 60)"),
+        _arg("--drain-timeout", type=float, default=15.0, metavar="SECONDS",
+             help="on SIGTERM/SIGINT, wait this long for workers to "
+             "checkpoint before SIGKILLing stragglers (default: 15)"),
+    )),
+    "client": Command("talk to a running discovery service", _cmd_client, (
+        _arg("--url", required=True, metavar="URL", help="service base URL"),
+        _arg("--token", default=None, metavar="TOKEN",
+             help="bearer token for an auth-enabled service "
+             "(default: $REPRO_SERVICE_TOKEN)"),
+    )),
+    "retarget": Command(
+        "retarget ac and validate a program on each target", _cmd_retarget,
+        (TARGETS, PROGRAM, SEED),
+    ),
+    "run": Command("compile and run a language-A program", _cmd_run, (
+        _arg("target", choices=target_names()),
+        PROGRAM,
+        _arg("--emit-asm", action="store_true", help="print assembly only"),
+        SEED,
+    )),
+    "lint": Command("statically verify discovered machine descriptions", _cmd_lint, (
+        OPTIONAL_TARGETS,
+        _arg("--source", action="append", default=[], metavar="PATH",
+             help="also run the determinism lint over this file/directory "
+             "(repeatable)"),
+        FORMAT,
+        FAIL_ON,
+        REPORT_OUT,
+        SEED,
+        JOBS,
+        _arg("--model", action="store_true",
+             help="derive template def/use profiles from the target's own "
+             "machine model (symbolic execution) instead of the probed "
+             "semantics table alone"),
+    )),
+    "verify-spec": Command(
+        "prove discovered emission rules correct by translation "
+        "validation (counterexamples on refutation)", _cmd_verify_spec, (
+            OPTIONAL_TARGETS,
+            _arg("--diff", nargs=2, metavar=("RUN_A", "RUN_B"),
+                 help="differential mode: compare the specs checkpointed in two "
+                 "run directories instead of verifying against the model"),
+            FORMAT,
+            FAIL_ON,
+            REPORT_OUT,
+            SEED,
+            JOBS,
+        ),
+    ),
+}
+
+#: the ``repro client`` actions; each handler takes (client, args)
+CLIENT_ACTIONS = {
+    "submit": Command("submit a campaign", _client_submit, (
+        TARGETS,
+        # unset, the service picks the seed and the attempt budget
+        _arg("--seed", type=int, default=None),
+        WORKERS,
+        _arg("--max-attempts", type=int, default=None, metavar="N"),
+        ESCALATE_VOTES,
+        _arg("--priority", type=int, default=None, metavar="N",
+             help="queue priority, -100..100 (higher runs first; default 0)"),
+        _arg("--deadline-s", type=float, default=None, metavar="SECONDS",
+             help="wall-clock budget; an unfinished job expires with partial "
+             "specs salvaged"),
+        _arg("--wait", action="store_true", help="poll until the job finishes"),
+        TIMEOUT,
+    )),
+    "status": Command(
+        "one job's typed status and per-target progress",
+        lambda client, args: _print_json(client.status(args.job)), (JOB,),
+    ),
+    "wait": Command(
+        "poll a job until it reaches a terminal state",
+        lambda client, args: _client_wait(client, args.job, args.timeout), (JOB, TIMEOUT),
+    ),
+    "spec": Command("fetch a finished job's machine descriptions", _client_spec, (
+        JOB,
+        _arg("--out", default=None, metavar="DIR",
+             help="write one <target>.beg per spec here instead of stdout"),
+    )),
+    "cancel": Command(
+        "cancel a job", lambda client, args: _print_json(client.cancel(args.job)), (JOB,)
+    ),
+    "stats": Command(
+        "service queue/fleet/cache counters", lambda client, args: _print_json(client.stats()), ()
+    ),
+    "jobs": Command("list every job record", lambda client, args: _print_json(client.jobs()), ()),
+    "readyz": Command(
+        "readiness probe (non-zero while draining/starting)",
+        lambda client, args: _print_json(client.readyz()), (),
+    ),
+}
+
+
+def _add_commands(parser, dest, table):
+    """One subparser per table row; returns them by name."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    parsers = {}
+    for name, command in table.items():
+        parsers[name] = sub.add_parser(name, help=command.help)
+        for names, spec in command.arguments:
+            parsers[name].add_argument(*names, **spec)
+    return parsers
+
+
+def build_parser():
+    """The ``repro`` argument parser, built from the tables; parsing
+    with it runs no handler."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = _add_commands(parser, "command", COMMANDS)
+    _add_commands(commands["client"], "action", CLIENT_ACTIONS)
+    return parser
 
-    p_targets = sub.add_parser("targets", help="list the simulated machines")
-    p_targets.add_argument(
-        "--json",
-        action="store_true",
-        help="machine-readable listing: names, toolchain command lines "
-        "and the cache fingerprint each one hashes to",
-    )
 
-    p_discover = sub.add_parser("discover", help="run architecture discovery")
-    p_discover.add_argument("target", nargs="?", choices=target_names())
-    p_discover.add_argument("--out", help="write artifacts to this directory")
-    p_discover.add_argument("--seed", type=int, default=1997)
-    p_discover.add_argument(
-        "--flaky",
-        type=_fault_rate,
-        default=0.0,
-        metavar="RATE",
-        help="inject transient target faults at this rate (0..1)",
-    )
-    p_discover.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0xFA17,
-        help="seed for the deterministic fault plan",
-    )
-    p_discover.add_argument(
-        "--max-retries",
-        type=int,
-        default=4,
-        help="retries per remote interaction before quarantine",
-    )
-    p_discover.add_argument(
-        "--workers",
-        type=_workers_arg,
-        default=None,
-        metavar="N|auto",
-        help="concurrent target connections (default: $REPRO_WORKERS or 1); "
-        "'auto' sizes from measured verb latency after the enquire phase",
-    )
-    p_discover.add_argument(
-        "--extract-procs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the CPU-bound extraction phases "
-        "(default: $REPRO_EXTRACT_PROCS or 1)",
-    )
-    p_discover.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="PATH",
-        help="persist probe results here; repeat runs skip remote verbs",
-    )
-    p_discover.add_argument(
-        "--cache-url",
-        default=None,
-        metavar="URL",
-        help="share a discovery service's probe cache over HTTP "
-        "(beats --cache-dir; see 'repro serve')",
-    )
-    p_discover.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the probe cache entirely (no reads, no writes)",
-    )
-    p_discover.add_argument(
-        "--latency",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="simulated per-verb target round-trip time",
-    )
-    p_discover.add_argument(
-        "--run-dir",
-        default=None,
-        metavar="DIR",
-        help="commit crash-durable checkpoints to this run directory",
-    )
-    p_discover.add_argument(
-        "--resume",
-        default=None,
-        metavar="RUNDIR",
-        help="resume a killed run from its run directory "
-        "(target and fault plan come from the manifest)",
-    )
-    p_discover.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-sample completion records per durable commit in the "
-        "fan-out phases (default: $REPRO_CHECKPOINT_EVERY or 8)",
-    )
-    p_discover.add_argument(
-        "--crash-at",
-        default=None,
-        metavar="SPEC",
-        help="crash injection: before:<phase>, after:<phase>, or "
-        "sample:<phase>:<n> (underscores stand for spaces)",
-    )
-    p_discover.add_argument(
-        "--crash-kill",
-        action="store_true",
-        help="SIGKILL the process at the --crash-at point instead of "
-        "raising (a real unclean death, for the e2e tests)",
-    )
-    p_discover.add_argument(
-        "--heartbeat-every",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="heartbeat a liveness lease into the run directory at this "
-        "interval (used by the campaign supervisor; needs --run-dir or "
-        "--resume)",
-    )
-    p_discover.add_argument(
-        "--verify",
-        action="store_true",
-        help="append a translation-validation phase: prove every "
-        "synthesised rule against the machine model; findings land in "
-        "the report diagnostics and the summary",
-    )
-    p_discover.add_argument(
-        "--votes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="override the resilience vote count (a venue knob: changes "
-        "cost, never the discovered spec)",
-    )
-
-    p_campaign = sub.add_parser(
-        "campaign", help="supervise discovery campaigns against many targets"
-    )
-    p_campaign.add_argument("targets", nargs="+", choices=target_names())
-    p_campaign.add_argument(
-        "--root", required=True, metavar="DIR",
-        help="campaign root: per-target run/out/log directories live here",
-    )
-    p_campaign.add_argument(
-        "--fleet", type=int, default=2, metavar="N",
-        help="concurrent worker processes (default: 2)",
-    )
-    p_campaign.add_argument("--seed", type=int, default=1997)
-    p_campaign.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="shared probe cache for all workers",
-    )
-    p_campaign.add_argument(
-        "--cache-url", default=None, metavar="URL",
-        help="share a discovery service's probe cache over HTTP",
-    )
-    p_campaign.add_argument(
-        "--workers", type=_workers_arg, default=None, metavar="N|auto",
-        help="target connections per worker (venue knob); 'auto' sizes "
-        "each worker from measured verb latency",
-    )
-    p_campaign.add_argument(
-        "--max-attempts", type=int, default=5, metavar="N",
-        help="worker attempts per campaign before quarantine (default: 5)",
-    )
-    p_campaign.add_argument(
-        "--backoff", type=float, default=0.5, metavar="SECONDS",
-        help="base retry backoff, doubled per failure (default: 0.5)",
-    )
-    p_campaign.add_argument(
-        "--escalate-after", type=int, default=2, metavar="N",
-        help="failures before relaunching with escalated venue knobs "
-        "(--workers 1 --no-cache) (default: 2)",
-    )
-    p_campaign.add_argument(
-        "--escalate-votes", type=int, default=None, metavar="N",
-        help="also raise resilience votes to N when escalating",
-    )
-    p_campaign.add_argument(
-        "--heartbeat-every", type=float, default=0.5, metavar="SECONDS",
-        help="worker lease heartbeat interval; 0 disables (default: 0.5)",
-    )
-    p_campaign.add_argument(
-        "--lease-timeout", type=float, default=10.0, metavar="SECONDS",
-        help="missed-lease window before a worker is declared wedged "
-        "and killed (default: 10)",
-    )
-    p_campaign.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget for the whole campaign fleet; unfinished "
-        "campaigns emit partial specs and incomplete.json",
-    )
-    p_campaign.add_argument(
-        "--chaos-kills", type=int, default=0, metavar="N",
-        help="chaos harness: SIGKILL each campaign's worker N times at "
-        "seeded points before letting it finish",
-    )
-    p_campaign.add_argument(
-        "--chaos-seed", type=int, default=0xC4A0, metavar="N",
-        help="seed for the chaos kill schedule",
-    )
-
-    p_cache_info = sub.add_parser(
-        "cache-info", help="inventory a probe-cache directory's shards"
-    )
-    p_cache_info.add_argument("directory", metavar="DIR")
-    p_cache_info.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-
-    p_serve = sub.add_parser(
-        "serve", help="run the discovery service (HTTP/JSON control plane)"
-    )
-    p_serve.add_argument(
-        "--root", required=True, metavar="DIR",
-        help="service state root: jobs/, campaigns/, cache/ live here",
-    )
-    p_serve.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)"
-    )
-    p_serve.add_argument(
-        "--port", type=int, default=0, metavar="P",
-        help="listen port (default: 0 = ephemeral, printed at startup)",
-    )
-    p_serve.add_argument(
-        "--fleet", type=int, default=2, metavar="N",
-        help="global concurrent worker budget across all jobs (default: 2)",
-    )
-    p_serve.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="shared probe cache directory (default: ROOT/cache)",
-    )
-    p_serve.add_argument(
-        "--heartbeat-every", type=float, default=0.5, metavar="SECONDS",
-        help="worker lease heartbeat interval; 0 disables (default: 0.5)",
-    )
-    p_serve.add_argument(
-        "--lease-timeout", type=float, default=10.0, metavar="SECONDS",
-        help="missed-lease window before a worker is declared wedged "
-        "(default: 10)",
-    )
-    p_serve.add_argument(
-        "--poll-interval", type=float, default=0.2, metavar="SECONDS",
-        help="fleet loop tick (default: 0.2)",
-    )
-    p_serve.add_argument(
-        "--clients", default=None, metavar="FILE",
-        help="clients.json tenant table (default: ROOT/clients.json; "
-        "absent file = open mode, no auth)",
-    )
-    p_serve.add_argument(
-        "--max-backlog", type=int, default=None, metavar="N",
-        help="admission watermark: open targets beyond this are shed "
-        "with a 503 (default: fleet * 8)",
-    )
-    p_serve.add_argument(
-        "--cache-max-bytes", type=int, default=None, metavar="BYTES",
-        help="probe-cache size bound: GC evicts least-recently-touched "
-        "shards above this (default: unbounded)",
-    )
-    p_serve.add_argument(
-        "--cache-max-age", type=float, default=None, metavar="SECONDS",
-        help="probe-cache age bound: shards untouched this long are "
-        "evicted (default: unbounded)",
-    )
-    p_serve.add_argument(
-        "--gc-interval", type=float, default=60.0, metavar="SECONDS",
-        help="cache GC cadence inside the fleet loop (default: 60)",
-    )
-    p_serve.add_argument(
-        "--drain-timeout", type=float, default=15.0, metavar="SECONDS",
-        help="on SIGTERM/SIGINT, wait this long for workers to "
-        "checkpoint before SIGKILLing stragglers (default: 15)",
-    )
-
-    p_client = sub.add_parser(
-        "client", help="talk to a running discovery service"
-    )
-    p_client.add_argument(
-        "--url", required=True, metavar="URL", help="service base URL"
-    )
-    p_client.add_argument(
-        "--token", default=None, metavar="TOKEN",
-        help="bearer token for an auth-enabled service "
-        "(default: $REPRO_SERVICE_TOKEN)",
-    )
-    client_sub = p_client.add_subparsers(dest="action", required=True)
-    c_submit = client_sub.add_parser("submit", help="submit a campaign")
-    c_submit.add_argument("targets", nargs="+", choices=target_names())
-    c_submit.add_argument("--seed", type=int, default=None)
-    c_submit.add_argument(
-        "--workers", type=_workers_arg, default=None, metavar="N|auto"
-    )
-    c_submit.add_argument("--max-attempts", type=int, default=None, metavar="N")
-    c_submit.add_argument("--escalate-votes", type=int, default=None, metavar="N")
-    c_submit.add_argument(
-        "--priority", type=int, default=None, metavar="N",
-        help="queue priority, -100..100 (higher runs first; default 0)",
-    )
-    c_submit.add_argument(
-        "--deadline-s", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget; an unfinished job expires with partial "
-        "specs salvaged",
-    )
-    c_submit.add_argument(
-        "--wait", action="store_true", help="poll until the job finishes"
-    )
-    c_submit.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="give up waiting after this long (the job keeps running)",
-    )
-    for action, help_text in (
-        ("status", "one job's typed status and per-target progress"),
-        ("wait", "poll a job until it reaches a terminal state"),
-        ("spec", "fetch a finished job's machine descriptions"),
-        ("cancel", "cancel a job"),
-    ):
-        c_action = client_sub.add_parser(action, help=help_text)
-        c_action.add_argument("job", metavar="JOB_ID")
-        if action == "wait":
-            c_action.add_argument(
-                "--timeout", type=float, default=None, metavar="SECONDS"
-            )
-        if action == "spec":
-            c_action.add_argument(
-                "--out", default=None, metavar="DIR",
-                help="write one <target>.beg per spec here instead of stdout",
-            )
-    client_sub.add_parser("stats", help="service queue/fleet/cache counters")
-    client_sub.add_parser("jobs", help="list every job record")
-    client_sub.add_parser(
-        "readyz", help="readiness probe (non-zero while draining/starting)"
-    )
-
-    p_retarget = sub.add_parser(
-        "retarget", help="retarget ac and validate a program on each target"
-    )
-    p_retarget.add_argument("targets", nargs="+", choices=target_names())
-    p_retarget.add_argument("--program", required=True, help="language-A file, or -")
-    p_retarget.add_argument("--seed", type=int, default=1997)
-
-    p_run = sub.add_parser("run", help="compile and run a language-A program")
-    p_run.add_argument("target", choices=target_names())
-    p_run.add_argument("--program", required=True, help="language-A file, or -")
-    p_run.add_argument("--emit-asm", action="store_true", help="print assembly only")
-    p_run.add_argument("--seed", type=int, default=1997)
-
-    p_lint = sub.add_parser(
-        "lint", help="statically verify discovered machine descriptions"
-    )
-    # No choices= here: argparse (3.11) validates the empty default of a
-    # nargs="*" positional against choices and rejects it; _cmd_lint
-    # validates the names itself.
-    p_lint.add_argument(
-        "targets",
-        nargs="*",
-        metavar="target",
-        help="targets to discover and speclint (default: all, "
-        "unless --source is given)",
-    )
-    p_lint.add_argument(
-        "--source",
-        action="append",
-        default=[],
-        metavar="PATH",
-        help="also run the determinism lint over this file/directory "
-        "(repeatable)",
-    )
-    p_lint.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format (default: text)",
-    )
-    p_lint.add_argument(
-        "--fail-on",
-        choices=("error", "warning", "never"),
-        default="error",
-        help="exit 1 when a finding at this severity or worse exists",
-    )
-    p_lint.add_argument(
-        "--out", help="write the report to this file (atomically)"
-    )
-    p_lint.add_argument("--seed", type=int, default=1997)
-    p_lint.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="lint up to N targets in parallel worker processes "
-        "(output is target-ordered and identical for any N)",
-    )
-    p_lint.add_argument(
-        "--model",
-        action="store_true",
-        help="derive template def/use profiles from the target's own "
-        "machine model (symbolic execution) instead of the probed "
-        "semantics table alone",
-    )
-
-    p_verify = sub.add_parser(
-        "verify-spec",
-        help="prove discovered emission rules correct by translation "
-        "validation (counterexamples on refutation)",
-    )
-    # Same rationale as lint for skipping choices= on the positional.
-    p_verify.add_argument(
-        "targets",
-        nargs="*",
-        metavar="target",
-        help="targets to discover and verify (default: all)",
-    )
-    p_verify.add_argument(
-        "--diff",
-        nargs=2,
-        metavar=("RUN_A", "RUN_B"),
-        help="differential mode: compare the specs checkpointed in two "
-        "run directories instead of verifying against the model",
-    )
-    p_verify.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format (default: text)",
-    )
-    p_verify.add_argument(
-        "--fail-on",
-        choices=("error", "warning", "never"),
-        default="error",
-        help="exit 1 when a finding at this severity or worse exists",
-    )
-    p_verify.add_argument(
-        "--out", help="write the report to this file (atomically)"
-    )
-    p_verify.add_argument("--seed", type=int, default=1997)
-    p_verify.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="verify up to N targets in parallel worker processes",
-    )
-
-    args = parser.parse_args(argv)
-    handler = {
-        "targets": _cmd_targets,
-        "discover": _cmd_discover,
-        "campaign": _cmd_campaign,
-        "cache-info": _cmd_cache_info,
-        "serve": _cmd_serve,
-        "client": _cmd_client,
-        "retarget": _cmd_retarget,
-        "run": _cmd_run,
-        "lint": _cmd_lint,
-        "verify-spec": _cmd_verify_spec,
-    }[args.command]
-    return handler(args)
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+    return COMMANDS[args.command].handler(args)
 
 
 if __name__ == "__main__":

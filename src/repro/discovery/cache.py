@@ -44,6 +44,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.counters import Counters
+from repro.discovery.durable import atomic_write
 from repro.errors import AssemblerError, LinkerError
 from repro.machines import machine as facade
 
@@ -205,7 +206,9 @@ class ProbeCache:
 
     def _compact(self, fingerprint):
         """Rewrite one shard file from the live entries (the same
-        machinery :meth:`close` and :meth:`gc` share)."""
+        machinery :meth:`close` and :meth:`gc` share), published
+        atomically: a process killed mid-compaction leaves the old
+        shard whole."""
         path = self._shard_path(fingerprint)
         if path is None:
             return
@@ -216,7 +219,7 @@ class ProbeCache:
             for key, payload in self._entries.items()
             if key.startswith(prefix)
         ]
-        path.write_text("".join(line + "\n" for line in lines))
+        atomic_write(path, "".join(line + "\n" for line in lines))
 
     def shard_entries(self, fingerprint):
         """Every live entry of one shard, ``{"verb:hash": payload}`` --
@@ -383,8 +386,9 @@ class ProbeCache:
             if self.directory is not None:
                 try:
                     self.directory.mkdir(parents=True, exist_ok=True)
-                    (self.directory / self.GC_SIDECAR).write_text(
-                        json.dumps(self.gc_stats, indent=2, sort_keys=True) + "\n"
+                    atomic_write(
+                        self.directory / self.GC_SIDECAR,
+                        json.dumps(self.gc_stats, indent=2, sort_keys=True) + "\n",
                     )
                 except OSError:
                     pass  # GC bookkeeping must never fail the store

@@ -80,6 +80,9 @@ from repro.machines import machine as facade
 #: per-sample phases translate these into quarantine instead of aborting
 _QUARANTINE_ERRORS = (DiscoveryError, TargetError)
 
+#: per-sample completion records per durable commit in the fan-out phases
+CHECKPOINT_EVERY = 8
+
 
 @dataclass
 class PhaseTiming:
@@ -302,10 +305,10 @@ class ArchitectureDiscovery:
         workers=None,
         cache=None,
         extract_procs=None,
-        extract_memo=None,
+        extract_memo=True,
         run_dir=None,
         crash_plan=None,
-        checkpoint_every=None,
+        checkpoint_every=CHECKPOINT_EVERY,
         verify=False,
     ):
         # The phase table is per-instance so opt-in phases (spec verify)
@@ -342,8 +345,6 @@ class ArchitectureDiscovery:
         self.scheduler = ProbeScheduler(self.pool, self.workers)
         if extract_procs is None:
             extract_procs = int(os.environ.get("REPRO_EXTRACT_PROCS", "1"))
-        if extract_memo is None:
-            extract_memo = os.environ.get("REPRO_EXTRACT_MEMO", "1") != "0"
         self.extractor = ExtractionEngine(procs=extract_procs, memo=extract_memo)
         self.seed = seed
         self.ri_budget = ri_budget
@@ -351,8 +352,6 @@ class ArchitectureDiscovery:
         # -- crash durability ------------------------------------------
         # checkpoint_every: per-sample completion records per durable
         # commit inside the fan-out phases (1 = exact sample boundary).
-        if checkpoint_every is None:
-            checkpoint_every = int(os.environ.get("REPRO_CHECKPOINT_EVERY", "8"))
         self.checkpoint_every = max(1, checkpoint_every)
         self.crash_plan = crash_plan
         if run_dir is None or isinstance(run_dir, DurableRun):

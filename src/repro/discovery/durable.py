@@ -274,6 +274,36 @@ def _fsync_directory(path):
         os.close(fd)
 
 
+def atomic_write(path, data):
+    """Publish *data* (bytes or str) at *path* so that no crash can tear
+    it: write a temp file in the same directory, flush and fsync it,
+    ``os.replace`` it over *path*, then fsync the directory.  Readers
+    see the old content or the new, never a mix; on any failure the
+    temp file is removed and *path* is untouched.  The one such write:
+    checkpoints, manifests and progress, leases and campaign records,
+    job records, compacted probe-cache shards and lint/verify reports
+    all go through it."""
+    path = pathlib.Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    fd, tmp = tempfile.mkstemp(
+        dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    _fsync_directory(path.parent)
+
+
 class DurableRun:
     """One discovery run's on-disk home: manifest plus checkpoint
     generations."""
@@ -323,9 +353,9 @@ class DurableRun:
         return run
 
     def _write_manifest(self):
-        self._atomic_write(
+        atomic_write(
             self.directory / RUN_MANIFEST,
-            (json.dumps(self.config, indent=2, sort_keys=True) + "\n").encode("utf-8"),
+            json.dumps(self.config, indent=2, sort_keys=True) + "\n",
         )
 
     # -- commits -------------------------------------------------------
@@ -344,31 +374,13 @@ class DurableRun:
         except ValueError:
             return len(paths) + 1
 
-    def _atomic_write(self, path, blob):
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.directory), prefix=path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        _fsync_directory(self.directory)
-
     def commit(self, checkpoint):
         """Durably publish a checkpoint as the newest generation, then
         prune generations beyond :data:`KEEP_GENERATIONS`."""
         blob = freeze_checkpoint(checkpoint)
         generation = self._next_generation()
         path = self.directory / f"ckpt-{generation:06d}.bin"
-        self._atomic_write(path, blob)
+        atomic_write(path, blob)
         self.commits += 1
         for stale in self.generations()[:-KEEP_GENERATIONS]:
             try:
@@ -392,11 +404,9 @@ class DurableRun:
             },
         }
         try:
-            self._atomic_write(
+            atomic_write(
                 self.directory / PROGRESS_FILE,
-                (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(
-                    "utf-8"
-                ),
+                json.dumps(payload, indent=2, sort_keys=True) + "\n",
             )
         except OSError:
             pass  # progress is advisory; never fail a commit over it

@@ -19,15 +19,12 @@ serialised by the GIL.  This module fans them out over a
   vectors are checked concurrently and the committed assignment is the
   first passing vector in enumeration order -- exactly the one a
   sequential search finds.
-- Results merge in shard-index order, followed by a cross-shard
-  revision fixpoint: any sample that failed inside its shard but whose
-  unknowns meanwhile appeared in the merged table (impossible for
-  connectivity shards, by construction, but the seam is what makes the
-  merge correct under any future partition policy) is re-solved with
-  revision against the merged table.
+- Results merge in shard-index order.  A sample that failed inside its
+  shard is discarded: its unknowns are closed within the shard, so no
+  other shard's semantics could ever solve it.
 - The global ``ri_budget`` is split across shards proportionally to
-  shard size (remainder to the earliest shards); the fixpoint draws
-  from the unspent remainder, and the split is accounted in the stats.
+  shard size (remainder to the earliest shards), and the split is
+  accounted in the stats.
 - ``hypotheses()`` candidate lists are memoised per-process by
   instruction signature shape (:func:`hypothesis_shape_key`) and, for
   parent-solved shards, speculatively enumerated on the pool a bounded
@@ -55,7 +52,6 @@ from repro.discovery.reverse_interp import (
     HypothesisMemo,
     InlineEvaluator,
     ReverseInterpreter,
-    _is_degenerate,
     first_passing_index,
     hypotheses,
     hypothesis_shape_key,
@@ -96,6 +92,8 @@ class ExtractionStats(Counters):
     memo_misses: int = 0
     budget_total: int = 0
     budget_spent: int = 0
+    #: always 0 (nothing re-solves a sample across shards); kept because
+    #: checkpoints and summary.json carry it
     fixpoint_retries: int = 0
 
     @property
@@ -557,7 +555,6 @@ class ExtractionEngine:
         self.memo_enabled = bool(memo)
         self.pool = ExtractPool(self.procs) if self.procs > 1 else None
         self.stats = ExtractionStats(procs=self.procs, memo_enabled=self.memo_enabled)
-        self._fixpoint_spent = 0
         self._prepared = False
         self.addr_map = None
         self.bits = None
@@ -621,7 +618,7 @@ class ExtractionEngine:
     # -- reverse interpretation ----------------------------------------
 
     def extract(self, graph_roles, budget, ri_samples=None, completed=None, on_shard=None):
-        """Shard, solve, merge, fixpoint.  Returns the merged
+        """Shard, solve, merge.  Returns the merged
         :class:`ExtractionResult`; counters land in ``self.stats``.
 
         *completed* maps shard index -> :class:`ShardOutcome` from a
@@ -708,9 +705,12 @@ class ExtractionEngine:
             spent += outcome.spent
             self.stats.memo_hits += outcome.memo_hits
             self.stats.memo_misses += outcome.memo_misses
-
-        self._fixpoint(merged, outcomes, by_name, budget - spent, graph_roles, memo)
-        self.stats.budget_spent = spent + self._fixpoint_spent
+            # failed in its shard is failed for good: a shard is closed
+            # over its keys, so no other shard's semantics can solve it
+            for name in outcome.failed:
+                merged.failed.append(name)
+                by_name[name].discard("reverse interpretation found no consistent semantics")
+        self.stats.budget_spent = spent
         return merged
 
     def _parent_evaluator(self):
@@ -724,57 +724,3 @@ class ExtractionEngine:
         return HypothesisPrefetcher(
             self.pool, memo, roles, self.use_likelihood, self.bits, self.stats
         )
-
-    def _fixpoint(self, merged, outcomes, by_name, leftover, graph_roles, memo):
-        """Cross-shard revision fixpoint.  A sample that failed inside
-        its shard is retried against the merged table iff the merge
-        brought in keys its shard could not see -- never the case for
-        connectivity shards, whose keys are closed by construction, but
-        this is the seam that keeps the merge correct under any
-        partition policy."""
-        self._fixpoint_spent = 0
-        fix_pool = BudgetPool(max(0, leftover))
-        retry, final_failed = [], []
-        for index in sorted(outcomes):
-            outcome = outcomes[index]
-            shard_keys = {op_sem.key for op_sem in outcome.semantics}
-            for name in outcome.failed:
-                sample = by_name[name]
-                foreign = [
-                    k
-                    for k in sample_keys(sample)
-                    if k in merged.semantics and k not in shard_keys
-                ]
-                (retry if foreign else final_failed).append(sample)
-        if retry:
-            interpreter = ReverseInterpreter(
-                _SampleSet(list(by_name.values())),
-                self.addr_map,
-                self.bits,
-                graph_roles=graph_roles,
-                budget=fix_pool.total,
-                use_likelihood=self.use_likelihood,
-                memo=memo,
-                evaluator=self._parent_evaluator(),
-                budget_pool=fix_pool,
-                discard_failed=False,
-            )
-            progress = True
-            while retry and progress:
-                progress = False
-                still = []
-                for sample in retry:
-                    if not _is_degenerate(sample) and interpreter._solve_with_revision(
-                        sample, merged
-                    ):
-                        merged.solved.append(sample.name)
-                        self.stats.fixpoint_retries += 1
-                        progress = True
-                    else:
-                        still.append(sample)
-                retry = still
-            final_failed.extend(retry)
-            self._fixpoint_spent = fix_pool.spent
-        for sample in final_failed:
-            merged.failed.append(sample.name)
-            sample.discard("reverse interpretation found no consistent semantics")

@@ -5,7 +5,9 @@ a deployed discovery unit cannot.  This module provides the three
 defences the driver wires through the probe loop:
 
 * :class:`RetryPolicy` -- exponential backoff with deterministic
-  jitter, applied to every remote verb.
+  jitter, applied to every remote verb.  :func:`backoff_delay` is the
+  one capped-exponential formula; the campaign supervisor, the cache
+  client's cooldown and the service client's polling use it too.
 * :class:`CircuitBreaker` -- a per-probe-class breaker that stops
   hammering a persistently failing interaction and later lets a trial
   call through (closed -> open -> half-open -> closed).
@@ -37,6 +39,15 @@ from repro.errors import (
 from repro.machines import machine as facade
 
 
+def backoff_delay(attempt, base, cap, factor=2.0):
+    """The wait before retry number *attempt* (0-based): ``base``
+    grown by ``factor`` per attempt, never more than ``cap``."""
+    try:
+        return min(cap, base * factor**attempt)
+    except OverflowError:  # a count kept for hours: long since capped
+        return cap
+
+
 @dataclass
 class RetryStats(Counters):
     """Counters the driver surfaces in the DiscoveryReport."""
@@ -58,7 +69,7 @@ class RetryPolicy:
     ``max_retries`` is the number of *re*-attempts after the first try.
     Backoff delays are computed deterministically from ``jitter_seed``
     but not slept by default (``sleep=None``): the simulated target has
-    no real latency, and tests assert on the schedule instead.
+    no real latency, and tests assert on the delays passed to ``sleep``.
     """
 
     def __init__(
@@ -78,25 +89,12 @@ class RetryPolicy:
         self.jitter = jitter
         self.sleep = sleep
         self.stats = RetryStats()
-        self._jitter_seed = jitter_seed
         self._rng = random.Random(jitter_seed)
 
-    def backoff_schedule(self, attempts=None, seed=None):
-        """The delay before each retry: ``base * 2^n`` capped at
-        ``max_delay``, scaled by a jitter factor in ``[1-j, 1+j]``.
-        Deterministic preview of the schedule ``call`` would follow from
-        a fresh policy with the same jitter seed."""
-        rng = random.Random(self._jitter_seed if seed is None else seed)
-        n = self.max_retries if attempts is None else attempts
-        out = []
-        for attempt in range(n):
-            raw = min(self.base_delay * (2**attempt), self.max_delay)
-            factor = 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-            out.append(raw * factor)
-        return out
-
     def _delay(self, attempt):
-        raw = min(self.base_delay * (2**attempt), self.max_delay)
+        """``base * 2^attempt`` capped at ``max_delay``, scaled by a
+        jitter factor in ``[1-j, 1+j]``."""
+        raw = backoff_delay(attempt, self.base_delay, self.max_delay)
         factor = 1.0 + self.jitter * (2.0 * self._rng.random() - 1.0)
         return raw * factor
 

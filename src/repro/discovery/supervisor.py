@@ -56,10 +56,11 @@ import pathlib
 import signal
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 
+from repro.discovery.durable import DurableRun, atomic_write
+from repro.discovery.resilience import backoff_delay
 from repro.errors import DiscoveryError
 
 LEASE_FILE = "worker.lease"
@@ -82,26 +83,8 @@ ERROR = "error"  # nonzero exit: retryable
 TERMINAL = "terminal"  # usage/config error: retry cannot help
 STALLED = "stalled"  # missed lease window; supervisor killed it
 
-
-def _atomic_write(path, blob):
-    """Write-fsync-rename, like a checkpoint commit: a crashed
-    supervisor or worker never leaves a torn lease/record behind."""
-    path = pathlib.Path(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+#: longest wait, in seconds, between a campaign's failed attempts
+BACKOFF_CAP = 30.0
 
 
 # -- leases -------------------------------------------------------------
@@ -135,10 +118,7 @@ class LeaseWriter:
             "worker": self.worker_id,
         }
         self.directory.mkdir(parents=True, exist_ok=True)
-        _atomic_write(
-            self.directory / LEASE_FILE,
-            (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"),
-        )
+        atomic_write(self.directory / LEASE_FILE, json.dumps(payload, sort_keys=True) + "\n")
 
     def start(self):
         """First beat synchronously (the supervisor sees a lease as soon
@@ -184,7 +164,6 @@ class CampaignPolicy:
         self,
         max_attempts=5,
         backoff_base=0.5,
-        backoff_cap=30.0,
         escalate_after=2,
         escalate_votes=None,
         lease_timeout=10.0,
@@ -193,7 +172,6 @@ class CampaignPolicy:
     ):
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.escalate_after = escalate_after
         self.escalate_votes = escalate_votes
         self.lease_timeout = lease_timeout
@@ -201,8 +179,8 @@ class CampaignPolicy:
         self.poll_interval = poll_interval
 
     def backoff(self, failures):
-        """Exponential, capped; failures start at 1."""
-        return min(self.backoff_cap, self.backoff_base * (2 ** (failures - 1)))
+        """Exponential, capped at :data:`BACKOFF_CAP`; failures start at 1."""
+        return backoff_delay(failures - 1, self.backoff_base, BACKOFF_CAP)
 
 
 class Campaign:
@@ -505,9 +483,9 @@ class CampaignSupervisor:
             "failures": campaign.failures,
         }
         campaign.home.mkdir(parents=True, exist_ok=True)
-        _atomic_write(
+        atomic_write(
             campaign.home / "failure.json",
-            (json.dumps(record, indent=2, sort_keys=True) + "\n").encode("utf-8"),
+            json.dumps(record, indent=2, sort_keys=True) + "\n",
         )
         self.echo(
             f"[{campaign.target}] quarantined after "
@@ -528,8 +506,6 @@ class CampaignSupervisor:
         campaign.state = INCOMPLETE
         completed, partial_spec = [], None
         try:
-            from repro.discovery.durable import DurableRun
-
             run = DurableRun.open(str(campaign.run_dir))
             checkpoint, _ = run.load_checkpoint()
             if checkpoint is not None:
@@ -537,7 +513,7 @@ class CampaignSupervisor:
                 if checkpoint.report.spec is not None:
                     partial_spec = campaign.out_dir / f"{campaign.target}.partial.beg"
                     campaign.out_dir.mkdir(parents=True, exist_ok=True)
-                    partial_spec.write_text(checkpoint.report.spec.render_beg())
+                    atomic_write(partial_spec, checkpoint.report.spec.render_beg())
         except DiscoveryError:
             pass
         record = {
@@ -551,9 +527,9 @@ class CampaignSupervisor:
             "failures": campaign.failures,
         }
         campaign.home.mkdir(parents=True, exist_ok=True)
-        _atomic_write(
+        atomic_write(
             campaign.home / "incomplete.json",
-            (json.dumps(record, indent=2, sort_keys=True) + "\n").encode("utf-8"),
+            json.dumps(record, indent=2, sort_keys=True) + "\n",
         )
         self.echo(
             f"[{campaign.target}] incomplete ({reason}): "
@@ -659,9 +635,9 @@ class CampaignSupervisor:
             "campaigns": [c.summary() for c in self.campaigns],
             "ok": all(c.state == DONE for c in self.campaigns),
         }
-        _atomic_write(
+        atomic_write(
             self.root / "summary.json",
-            (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode("utf-8"),
+            json.dumps(summary, indent=2, sort_keys=True) + "\n",
         )
         return summary
 

@@ -42,6 +42,7 @@ import time
 import urllib.parse
 
 from repro.discovery.cache import CacheStats
+from repro.discovery.resilience import backoff_delay
 
 #: consecutive transport failures before the client stops calling out
 #: (each probe then misses locally until the cooldown elapses)
@@ -86,7 +87,7 @@ class RemoteProbeCache:
         self._lock = threading.Lock()
         self._transport_failures = 0
         self._disabled = False
-        self._cooldown = COOLDOWN_START
+        self._failed_probes = 0  # half-open probes failed since disabling
         self._cooldown_until = 0.0
         self.reenabled = 0
         self._shards = {}  # fingerprint -> prefetched snapshot (or None)
@@ -217,8 +218,11 @@ class RemoteProbeCache:
                 return False
             # claim this window: re-arm the clock so concurrent threads
             # do not stampede the possibly-still-dead service
-            self._cooldown_until = now + self._cooldown
+            self._cooldown_until = now + self._cooldown()
             return True
+
+    def _cooldown(self):
+        return backoff_delay(self._failed_probes, COOLDOWN_START, COOLDOWN_CAP)
 
     def _request(self, method, path, body=None):
         """One round trip.  Returns the decoded JSON body for a 200, a
@@ -255,7 +259,7 @@ class RemoteProbeCache:
             if self._disabled:
                 # the half-open probe came back: the service is alive
                 self._disabled = False
-                self._cooldown = COOLDOWN_START
+                self._failed_probes = 0
                 self._cooldown_until = 0.0
                 self.reenabled += 1
         if response.status == 200:
@@ -276,12 +280,12 @@ class RemoteProbeCache:
             self._transport_failures += 1
             if self._disabled:
                 # the half-open probe failed too: back off harder
-                self._cooldown = min(COOLDOWN_CAP, self._cooldown * 2)
-                self._cooldown_until = time.monotonic() + self._cooldown
+                self._failed_probes += 1
             elif self._transport_failures >= MAX_TRANSPORT_FAILURES:
                 self._disabled = True
-                self._cooldown = COOLDOWN_START
-                self._cooldown_until = time.monotonic() + self._cooldown
+            else:
+                return
+            self._cooldown_until = time.monotonic() + self._cooldown()
 
     def close_connection_only(self):
         """Drop this thread's keep-alive socket without flushing (used

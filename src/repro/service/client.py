@@ -18,6 +18,7 @@ import time
 import urllib.error
 import urllib.request
 
+from repro.discovery.resilience import backoff_delay
 from repro.errors import DiscoveryError
 from repro.service import jobs as jobstates
 
@@ -82,7 +83,7 @@ class ServiceClient:
         Raises :class:`ServiceError` when *timeout* seconds pass first
         (the job keeps running server-side; waiting is just watching)."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        interval = POLL_START
+        polls = 0
         while True:
             try:
                 status = self.status(job_id)
@@ -112,8 +113,8 @@ class ServiceClient:
                     status=0,
                     code="timeout",
                 )
-            time.sleep(interval)
-            interval = min(POLL_CAP, interval * POLL_FACTOR)
+            time.sleep(backoff_delay(polls, POLL_START, POLL_CAP, POLL_FACTOR))
+            polls += 1
 
     # -- transport -----------------------------------------------------
 

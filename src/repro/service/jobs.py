@@ -37,6 +37,7 @@ import re
 import threading
 import time
 
+from repro.discovery.durable import atomic_write
 from repro.errors import DiscoveryError
 
 QUEUED = "queued"
@@ -216,12 +217,10 @@ class JobStore:
         return job
 
     def _write(self, job):
-        from repro.discovery.supervisor import _atomic_write
-
         self.directory.mkdir(parents=True, exist_ok=True)
-        _atomic_write(
+        atomic_write(
             self.directory / f"{job['id']}.json",
-            (json.dumps(job, indent=2, sort_keys=True) + "\n").encode("utf-8"),
+            json.dumps(job, indent=2, sort_keys=True) + "\n",
         )
 
     def _next_id(self):

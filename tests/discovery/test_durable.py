@@ -11,8 +11,10 @@ pickle-era schema-1 generation is skipped like any foreign one.
 
 import hashlib
 import json
+import os
 import pathlib
 import pickle
+import stat
 
 import pytest
 
@@ -28,6 +30,7 @@ from repro.discovery.durable import (
     MAGIC,
     DurableRun,
     PhaseProgress,
+    atomic_write,
     chunked,
     detach_runtime,
     freeze_checkpoint,
@@ -118,6 +121,36 @@ def test_commit_leaves_no_temp_droppings(tmp_path):
     run.commit(_small_checkpoint())
     leftovers = [p.name for p in (tmp_path / "run").iterdir()]
     assert not [name for name in leftovers if name.endswith(".tmp")]
+
+
+def test_atomic_write_replaces_fsyncs_and_never_tears(tmp_path, monkeypatch):
+    """The one publish primitive: new content or old, never a mix, no
+    temp file left behind, and both the file and its directory fsynced
+    (without the directory fsync a power cut can forget the rename)."""
+    target = tmp_path / "report.json"
+    target.write_bytes(b"stale")
+    synced = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    atomic_write(target, "fresh")
+    assert target.read_bytes() == b"fresh"
+    assert synced == ["file", "dir"]
+    atomic_write(target, b"\x00bytes")
+    assert target.read_bytes() == b"\x00bytes"
+
+    def failing_replace(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk gone"):
+        atomic_write(target, "never published")
+    assert target.read_bytes() == b"\x00bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
 
 def test_attach_rejects_foreign_target(tmp_path):

@@ -19,6 +19,7 @@ from repro.discovery.resilience import (
     ResilienceConfig,
     ResilientMachine,
     RetryPolicy,
+    backoff_delay,
     majority_vote,
 )
 
@@ -62,17 +63,37 @@ class TestRetryPolicy:
         assert policy.stats.retries == 2
 
     def test_backoff_schedule_exponential_capped_and_jittered(self):
-        policy = RetryPolicy(
-            max_retries=6, base_delay=0.1, max_delay=1.0, jitter=0.5, jitter_seed=1
-        )
-        schedule = policy.backoff_schedule()
+        def schedule(seed, jitter=0.5):
+            slept = []
+            policy = RetryPolicy(
+                max_retries=6,
+                base_delay=0.1,
+                max_delay=1.0,
+                jitter=jitter,
+                jitter_seed=seed,
+                sleep=slept.append,
+            )
+            with pytest.raises(TransientTargetError):
+                policy.call(Flaky(10))
+            return slept
+
         raw = [min(0.1 * 2**n, 1.0) for n in range(6)]
-        assert len(schedule) == 6
-        for got, base in zip(schedule, raw):
+        assert schedule(1, jitter=0.0) == pytest.approx(raw)
+        delays = schedule(1)
+        assert len(delays) == 6
+        for got, base in zip(delays, raw):
             assert 0.5 * base <= got <= 1.5 * base
         # Deterministic per seed; different seeds jitter differently.
-        assert schedule == policy.backoff_schedule()
-        assert schedule != policy.backoff_schedule(seed=2)
+        assert delays == schedule(1)
+        assert delays != schedule(2)
+
+    def test_backoff_delay_is_capped_exponential(self):
+        assert [backoff_delay(n, 0.5, 30.0) for n in range(8)] == [
+            0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0
+        ]
+        assert backoff_delay(2, 0.2, 2.0, factor=1.5) == pytest.approx(0.45)
+        # a counter that runs for hours saturates instead of overflowing
+        assert backoff_delay(5000, 0.2, 2.0, factor=1.5) == 2.0
 
     def test_backoff_accumulates_in_stats(self):
         policy = RetryPolicy(max_retries=3, base_delay=0.1, jitter=0.0)

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from repro.__main__ import _atomic_write_text, main
+from repro.__main__ import main
 from repro.discovery.driver import DiscoveryCheckpoint, DiscoveryReport
 from repro.discovery.durable import DurableRun
 from tests.discovery.conftest import discovery_report
@@ -61,13 +61,6 @@ class TestJobsFanOut:
 
 
 class TestAtomicOut:
-    def test_write_then_rename(self, tmp_path):
-        out = tmp_path / "report.json"
-        out.write_text("stale")
-        _atomic_write_text(out, "fresh")
-        assert out.read_text() == "fresh"
-        assert not list(tmp_path.glob("*.tmp"))
-
     def test_out_flag_writes_atomically(self, tmp_path, capsys):
         out = tmp_path / "findings.sarif"
         assert (
