@@ -95,7 +95,7 @@ def test_extraction_speedup_procs4_five_architectures(tmp_path_factory):
             memo_hits / (memo_hits + memo_misses), 4
         ) if (memo_hits + memo_misses) else 0.0,
         "per_target_procs4": {
-            t: reports_4[t].extraction_stats.snapshot() for t in FIVE_TARGETS
+            t: reports_4[t].extraction_stats.as_dict() for t in FIVE_TARGETS
         },
     }
     _emit.record("extraction", {"five_architecture_suite": payload})

@@ -46,7 +46,7 @@ def test_discovery_report_table(benchmark):
                 f"{target:6s} {summary['word']:22s} "
                 f"instrs={summary['instructions_discovered']:3d} "
                 f"samples={summary['samples']:16s} "
-                f"execs={summary['target_executions']}"
+                f"execs={summary['machine']['executions']}"
             )
         return "\n".join(rows)
 

@@ -46,7 +46,7 @@ def main():
             f"{summary['instructions_discovered']:7d} "
             f"{usable:>9s} "
             f"{summary['interpretations_tried']:7d} "
-            f"{summary['target_executions']:6d} "
+            f"{summary['machine']['executions']:6d} "
             f"{summary['total_seconds']:6.1f}"
         )
 

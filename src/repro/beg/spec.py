@@ -89,8 +89,9 @@ class MachineSpec:
     #: speclint findings recorded against this description (dicts in
     #: Diagnostic.to_dict() form; filled by the driver's lint phase)
     diagnostics: list = field(default_factory=list)
-    #: per-phase wall/CPU seconds of the discovery run that produced
-    #: this description (measurement only -- never part of render_beg)
+    #: always {}: phase timings live on the DiscoveryReport only.  The
+    #: field stays because the checkpoint codec encodes every field, so
+    #: removing it would change the bytes of every checkpoint.
     phase_timings: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -182,5 +183,4 @@ class MachineSpec:
                 "counts": by_severity,
                 "entries": list(self.diagnostics),
             },
-            "phase_timings": dict(self.phase_timings),
         }

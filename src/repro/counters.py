@@ -3,11 +3,15 @@
 Every layer that counts (the machine connection stack, the probe cache,
 the scheduler, mutation analysis, extraction) keeps its counters in a
 dataclass deriving from :class:`Counters`, which gives all of them the
-same three operations: ``bump`` moves counters that several threads
-share, ``copy`` freezes them into a report and ``merge`` folds one set
-into another.  The base adds no instance attribute (the lock belongs to
-the class), so the portable checkpoint codec, which encodes instance
-attributes, still sees exactly the dataclass fields.
+same four operations: ``bump`` moves counters that several threads
+share, ``copy`` freezes them into a report, ``merge`` folds one set
+into another and ``as_dict`` renders them.  ``as_dict`` is the only
+renderer of a counter set: the run summary, ``<target>.summary.json``,
+the service's ``/stats`` and the cache's ``gc-stats.json`` all print
+what it returns.  The base adds no instance attribute (the lock and the
+``DERIVED`` names belong to the class), so the portable checkpoint
+codec, which encodes instance attributes, still sees exactly the
+dataclass fields.
 """
 
 from __future__ import annotations
@@ -15,6 +19,18 @@ from __future__ import annotations
 import copy
 import threading
 from dataclasses import fields
+
+
+def rounded(value):
+    """*value* with every float, also inside dicts and lists, rounded
+    to 4 places: the reports' one rounding rule."""
+    if isinstance(value, float):
+        return round(value, 4)
+    if isinstance(value, dict):
+        return {key: rounded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [rounded(item) for item in value]
+    return value
 
 
 class Counters:
@@ -27,6 +43,9 @@ class Counters:
     common to all instances of the class; counters one thread owns may
     be incremented directly.
     """
+
+    #: derived properties :meth:`as_dict` renders after the fields
+    DERIVED = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -54,3 +73,11 @@ class Counters:
             }
         )
         return self
+
+    def as_dict(self):
+        """Every field, then each ``DERIVED`` property, as a new
+        JSON-ready dict with floats :func:`rounded`."""
+        with self._lock:
+            out = {f.name: getattr(self, f.name) for f in fields(self)}
+            out.update((name, getattr(self, name)) for name in self.DERIVED)
+            return rounded(out)

@@ -101,6 +101,8 @@ def target_fingerprint(machine):
 class CacheStats(Counters):
     """Counters the driver surfaces in the DiscoveryReport."""
 
+    DERIVED = ("lookups", "hit_rate")
+
     hits: int = 0
     misses: int = 0
     writes: int = 0
@@ -119,6 +121,18 @@ class CacheStats(Counters):
         return self.hits / self.lookups if self.lookups else 0.0
 
 
+@dataclass
+class GcStats(Counters):
+    """Lifetime counters of a store's shard GC (see :meth:`ProbeCache.gc`);
+    ``last`` is the report of the newest pass."""
+
+    runs: int = 0
+    evicted_shards: int = 0
+    reclaimed_bytes: int = 0
+    compacted_shards: int = 0
+    last: dict | None = None
+
+
 class ProbeCache:
     """Content-addressed probe store, persistent when given a directory.
 
@@ -135,14 +149,7 @@ class ProbeCache:
         self.directory = pathlib.Path(directory) if directory else None
         self.max_entries = max_entries
         self.stats = CacheStats()
-        #: shard-GC lifetime counters (see :meth:`gc`)
-        self.gc_stats = {
-            "runs": 0,
-            "evicted_shards": 0,
-            "reclaimed_bytes": 0,
-            "compacted_shards": 0,
-            "last": None,
-        }
+        self.gc_stats = GcStats()
         self._entries = OrderedDict()  # key -> payload dict (LRU order)
         self._loaded_shards = set()  # fingerprints already read from disk
         self._dirty_shards = set()  # fingerprints needing compaction
@@ -240,32 +247,11 @@ class ProbeCache:
         where = str(self.directory) if self.directory else "(in-memory)"
         return f"probe cache at {where}: {len(self._entries)} entries"
 
-    def shard_stats(self):
-        """Per-fingerprint entry/byte counts of the live store, plus
-        the lifetime counters (hits, misses, writes, LRU evictions,
-        corrupt entries).  The byte count prices the JSON payloads as
-        stored, so operators can see which target's answers dominate
-        the cache -- the number ``repro cache-info`` and the service
-        ``/stats`` endpoint report."""
+    def live_stats(self):
+        """The live entry count and the lifetime counters, read under
+        the store's lock (the service ``/stats`` ``cache`` block)."""
         with self._lock:
-            shards = {}
-            for key, payload in self._entries.items():
-                fingerprint, verb, _ = key.split(":", 2)
-                shard = shards.setdefault(
-                    fingerprint, {"entries": 0, "bytes": 0, "by_verb": {}}
-                )
-                shard["entries"] += 1
-                shard["bytes"] += len(json.dumps(payload))
-                shard["by_verb"][verb] = shard["by_verb"].get(verb, 0) + 1
-            return {
-                "shards": shards,
-                "entries": len(self._entries),
-                "hits": self.stats.hits,
-                "misses": self.stats.misses,
-                "writes": self.stats.writes,
-                "evictions": self.stats.evictions,
-                "corrupt_entries": self.stats.corrupt_entries,
-            }
+            return {"entries": len(self._entries), **self.stats.as_dict()}
 
     def __len__(self):
         return len(self._entries)
@@ -330,9 +316,9 @@ class ProbeCache:
         shards are compacted in the same pass, so eviction debt does
         not wait for :meth:`close`.  Returns a report dict; lifetime
         counters accumulate in :attr:`gc_stats`, and a persistent
-        store journals the report to ``gc-stats.json`` so ``repro
-        cache-info`` can show GC history for a cache nobody holds
-        open."""
+        store journals them, with the report as ``last``, to
+        ``gc-stats.json`` so ``repro cache-info`` can show GC history
+        for a cache nobody holds open."""
         pinned = set(pinned)
         with self._lock:
             if now is None:
@@ -378,17 +364,20 @@ class ProbeCache:
                 "pinned": sorted(pinned),
                 "shards_kept": len(inventory) - len(evicted),
             }
-            self.gc_stats["runs"] += 1
-            self.gc_stats["evicted_shards"] += len(evicted)
-            self.gc_stats["reclaimed_bytes"] += reclaimed
-            self.gc_stats["compacted_shards"] += len(compacted)
-            self.gc_stats["last"] = report
+            self.gc_stats.bump(
+                runs=1,
+                evicted_shards=len(evicted),
+                reclaimed_bytes=reclaimed,
+                compacted_shards=len(compacted),
+            )
+            self.gc_stats.last = report
             if self.directory is not None:
                 try:
                     self.directory.mkdir(parents=True, exist_ok=True)
                     atomic_write(
                         self.directory / self.GC_SIDECAR,
-                        json.dumps(self.gc_stats, indent=2, sort_keys=True) + "\n",
+                        json.dumps(self.gc_stats.as_dict(), indent=2, sort_keys=True)
+                        + "\n",
                     )
                 except OSError:
                     pass  # GC bookkeeping must never fail the store
@@ -607,11 +596,10 @@ def cache_info(directory):
     """Inventory of a probe-cache directory, without mutating it.
 
     Walks every ``probes-<fingerprint>.jsonl`` shard and counts valid
-    entries, corrupt lines, bytes and the per-verb breakdown -- the
-    same numbers :meth:`ProbeCache.shard_stats` reports for a live
-    store, derived here purely from disk so ``repro cache-info`` and
-    the service ``/stats`` endpoint can describe a cache nobody
-    currently holds open."""
+    entries, corrupt lines, bytes and the per-verb breakdown, purely
+    from disk, so ``repro cache-info`` and the service ``/stats``
+    endpoint (as ``cache_disk``) can describe a cache nobody currently
+    holds open.  ``gc`` is the store's ``gc-stats.json`` journal."""
     directory = pathlib.Path(directory)
     shards = []
     for path in sorted(directory.glob("probes-*.jsonl")):

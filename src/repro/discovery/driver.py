@@ -50,6 +50,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
+from repro.counters import rounded
 from repro.discovery import probe
 from repro.discovery.addresses import discover_address_map
 from repro.discovery.branches import BranchAnalysis
@@ -86,9 +87,16 @@ CHECKPOINT_EVERY = 8
 
 @dataclass
 class PhaseTiming:
+    """What one phase cost.  ``verbs`` is the change in the primary
+    stack's ``total_verbs`` across the phase method; clones count into
+    the primary's counters, so it covers the whole worker pool.  Under
+    ``workers="auto"`` the sizing probes run between ``enquire`` and the
+    next phase: they are the only verbs no phase is charged with."""
+
     name: str
     seconds: float  # wall clock
     cpu_seconds: float = 0.0  # parent-process CPU (time.process_time)
+    verbs: int = 0  # remote round trips issued by the phase
 
 
 @dataclass
@@ -119,19 +127,23 @@ class DiscoveryReport:
 
     @property
     def phase_timings(self):
-        """Per-phase wall and parent-CPU seconds, in phase order."""
+        """Per-phase wall and parent-CPU seconds and target verbs (see
+        :class:`PhaseTiming`), in phase order."""
         return {
-            t.name: {
-                "wall_s": round(t.seconds, 4),
-                "cpu_s": round(t.cpu_seconds, 4),
-            }
+            t.name: rounded(
+                {"wall_s": t.seconds, "cpu_s": t.cpu_seconds, "verbs": t.verbs}
+            )
             for t in self.timings
         }
 
     def summary(self):
-        """The headline numbers.  Every field is guarded: a report from
-        an interrupted or degenerate run (no samples, no enquire data)
-        summarises instead of dividing by zero or dereferencing None."""
+        """The headline numbers, then one block per counter set the
+        report holds (``machine`` from ``machine_stats`` and so on, and
+        ``mutation`` from the engine), each rendered by its
+        ``as_dict()``, then ``phase_timings``.  Every field is guarded:
+        a report from an interrupted or degenerate run (no samples, no
+        enquire data) summarises instead of dividing by zero or
+        dereferencing None."""
         usable = sum(1 for s in self.corpus.samples if s.usable) if self.corpus else 0
         total = len(self.corpus.samples) if self.corpus else 0
         out = {
@@ -153,36 +165,9 @@ class DiscoveryReport:
             else 0,
             "branch_rules": sorted(self.branch_model.rules) if self.branch_model else [],
             "call_protocol": self.call_protocol.describe() if self.call_protocol else "?",
-            "target_executions": self.machine_stats.executions if self.machine_stats else 0,
             "total_seconds": round(sum(t.seconds for t in self.timings), 2),
-            "quarantined_samples": len(self.quarantined),
+            "quarantined": list(self.quarantined),
         }
-        if self.retry_stats is not None:
-            out["retried_calls"] = self.retry_stats.retries
-            out["transient_errors"] = self.retry_stats.transient_errors
-            out["vote_runs"] = self.retry_stats.vote_runs
-        if self.fault_stats is not None:
-            out["faults_injected"] = self.fault_stats.injected
-        if self.scheduler_stats is not None:
-            out["workers"] = self.scheduler_stats.workers
-            out["parallel_tasks"] = self.scheduler_stats.tasks
-            out["max_in_flight"] = self.scheduler_stats.max_in_flight
-        if self.cache_stats is not None:
-            out["cache_hits"] = self.cache_stats.hits
-            out["cache_misses"] = self.cache_stats.misses
-            out["cache_hit_rate"] = round(self.cache_stats.hit_rate, 4)
-            out["cache_evictions"] = self.cache_stats.evictions
-            out["cache_corrupt_entries"] = self.cache_stats.corrupt_entries
-        if self.extraction_stats is not None:
-            out["extract_procs"] = self.extraction_stats.procs
-            out["extract_shards"] = self.extraction_stats.shards
-            out["extract_dispatched_shards"] = self.extraction_stats.dispatched_shards
-            out["hypothesis_memo_hits"] = self.extraction_stats.memo_hits
-            out["hypothesis_memo_hit_rate"] = round(
-                self.extraction_stats.memo_hit_rate, 4
-            )
-            out["ri_budget_spent"] = self.extraction_stats.budget_spent
-            out["ri_budget_unspent"] = self.extraction_stats.budget_unspent
         if self.quarantined:
             out["coverage"] = (
                 f"degraded: {usable}/{total} samples analysed, "
@@ -196,22 +181,25 @@ class DiscoveryReport:
             out["verify_proven"] = self.verify_stats.get("proven", 0)
             out["verify_sampled"] = self.verify_stats.get("sampled", 0)
             out["verify_refuted"] = self.verify_stats.get("refuted", 0)
+        for name in ("machine", "retry", "fault", "scheduler", "cache", "extraction"):
+            stats = getattr(self, f"{name}_stats")
+            if stats is not None:
+                out[name] = stats.as_dict()
+        if self.engine is not None:
+            out["mutation"] = self.engine.stats.as_dict()
+        out["phase_timings"] = self.phase_timings
         return out
 
     def render_summary(self):
+        """:meth:`summary` as text: a dict value is a block of its own
+        lines, anything else one line; then the lint findings."""
         lines = [f"=== architecture discovery report: {self.target} ==="]
         for key, value in self.summary().items():
-            lines.append(f"  {key:26s}: {value}")
-        lines.append("  phase timings:")
-        for timing in self.timings:
-            lines.append(
-                f"    {timing.name:24s}: {timing.seconds:.2f}s wall, "
-                f"{timing.cpu_seconds:.2f}s cpu"
-            )
-        if self.quarantined:
-            lines.append("  quarantined samples:")
-            for entry in self.quarantined:
-                lines.append(f"    {entry['sample']:24s}: {entry['reason']}")
+            if isinstance(value, dict):
+                lines.append(f"  {key}:")
+                lines.extend(f"    {name:24s}: {item}" for name, item in value.items())
+            else:
+                lines.append(f"  {key:26s}: {value}")
         if self.diagnostics is not None and self.diagnostics.diagnostics:
             lines.append("  lint diagnostics:")
             for diag in self.diagnostics.diagnostics:
@@ -391,7 +379,6 @@ class ArchitectureDiscovery:
         if self._pool_note and self._pool_note not in report.notes:
             report.notes.append(self._pool_note)
         self._report, self._completed, self._state = report, completed, state
-        clock = _Clock(report)
         if "enquire" in completed:
             # Resumed past the sizing point: re-derive (never re-measure)
             # the worker count from the recorded samples.
@@ -402,9 +389,10 @@ class ArchitectureDiscovery:
                 if name in completed:
                     continue
                 self._crash_point("before", name)
+                verbs = self.machine.stats.total_verbs
+                wall_start, cpu_start = time.perf_counter(), time.process_time()
                 try:
-                    with clock(name):
-                        getattr(self, method)(report, state)
+                    getattr(self, method)(report, state)
                 except _QUARANTINE_ERRORS as exc:
                     if isinstance(exc, DiscoveryInterrupted):
                         raise
@@ -420,6 +408,14 @@ class ArchitectureDiscovery:
                     raise DiscoveryInterrupted(
                         name, exc, checkpoint, checkpoint_path=path
                     ) from exc
+                report.timings.append(
+                    PhaseTiming(
+                        name,
+                        time.perf_counter() - wall_start,
+                        time.process_time() - cpu_start,
+                        self.machine.stats.total_verbs - verbs,
+                    )
+                )
                 completed.append(name)
                 if name == "enquire":
                     # Size the scheduler while the link is freshly
@@ -451,8 +447,6 @@ class ArchitectureDiscovery:
         return report
 
     def _finalise(self, report):
-        if report.spec is not None:
-            report.spec.phase_timings = report.phase_timings
         # Every clone counts into its primary's counters, so the
         # primary stack's counters cover the whole pool.
         report.machine_stats = self.machine.stats.copy()
@@ -792,33 +786,3 @@ class ArchitectureDiscovery:
             report.diagnostics = DiagnosticSet()
         report.diagnostics.extend(result.diagnostics)
         report.spec.diagnostics = report.diagnostics.to_dicts()
-
-
-class _Clock:
-    def __init__(self, report):
-        self.report = report
-
-    def __call__(self, name):
-        return _Phase(self.report, name)
-
-
-class _Phase:
-    def __init__(self, report, name):
-        self.report = report
-        self.name = name
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        self.cpu_start = time.process_time()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.report.timings.append(
-                PhaseTiming(
-                    self.name,
-                    time.perf_counter() - self.start,
-                    time.process_time() - self.cpu_start,
-                )
-            )
-        return False

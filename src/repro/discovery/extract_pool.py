@@ -79,6 +79,8 @@ EVAL_CHUNK = 96
 class ExtractionStats(Counters):
     """Counters for the process-parallel extraction of one target."""
 
+    DERIVED = ("memo_hit_rate", "budget_unspent")
+
     procs: int = 1
     memo_enabled: bool = True
     shards: int = 0
@@ -104,18 +106,6 @@ class ExtractionStats(Counters):
     def memo_hit_rate(self):
         looked = self.memo_hits + self.memo_misses
         return self.memo_hits / looked if looked else 0.0
-
-    def snapshot(self):
-        """The counters as a JSON-ready dict, each derived rate right
-        after the counter it derives from."""
-        out = {}
-        for name, value in vars(self.copy()).items():
-            out[name] = value
-            if name == "memo_misses":
-                out["memo_hit_rate"] = round(self.memo_hit_rate, 4)
-            elif name == "budget_spent":
-                out["budget_unspent"] = self.budget_unspent
-        return out
 
 
 # -- sharding -----------------------------------------------------------------

@@ -51,6 +51,8 @@ _TRANSIENT_KINDS = ("drop", "crash", "timeout")
 class FaultStats(Counters):
     """Counts of injected faults, by kind."""
 
+    DERIVED = ("injected",)
+
     drops: int = 0
     crashes: int = 0
     timeouts: int = 0

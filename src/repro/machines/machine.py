@@ -111,6 +111,8 @@ class ExecutableHandle:
 class MachineStats(Counters):
     """Counts of target interactions (the paper's dominant cost)."""
 
+    DERIVED = ("total_verbs",)
+
     compilations: int = 0
     assemblies: int = 0
     assembly_errors: int = 0

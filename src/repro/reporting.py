@@ -5,7 +5,8 @@ drawings shown in this paper were generated automatically as part of the
 documentation produced by the architecture discovery system").  This
 module renders a report directory: the BEG-style machine description,
 the instruction-semantics table, data-flow graphs in DOT, and a JSON
-summary suitable for the EXPERIMENTS.md tables.
+summary suitable for the EXPERIMENTS.md tables: the report's own
+``summary()`` plus the description's ``spec`` summary.
 """
 
 from __future__ import annotations
@@ -14,82 +15,6 @@ import json
 import pathlib
 
 from repro.discovery.dfg import build_dfg
-
-
-def _resilience_summary(report):
-    """Retry/quarantine/fault counters for the JSON summary (all zero on
-    a healthy target -- the numbers double as a health report)."""
-    out = {"quarantined": list(report.quarantined)}
-    retry = report.retry_stats
-    if retry is not None:
-        out["retries"] = {
-            "attempts": retry.attempts,
-            "retries": retry.retries,
-            "transient_errors": retry.transient_errors,
-            "timeouts": retry.timeouts,
-            "gave_up": retry.gave_up,
-            "vote_runs": retry.vote_runs,
-            "vote_conflicts": retry.vote_conflicts,
-            "breaker_rejections": retry.breaker_rejections,
-            "total_backoff_s": round(retry.total_backoff, 4),
-        }
-    faults = report.fault_stats
-    if faults is not None:
-        out["faults_injected"] = {
-            "drops": faults.drops,
-            "crashes": faults.crashes,
-            "timeouts": faults.timeouts,
-            "corruptions": faults.corruptions,
-            "total": faults.injected,
-        }
-    return out
-
-
-def _scheduler_summary(report):
-    """Worker-pool counters: how wide the run fanned out and where the
-    wall-clock went (per parallel phase)."""
-    stats = report.scheduler_stats
-    if stats is None:
-        return None
-    return {
-        "workers": stats.workers,
-        "connections": stats.connections,
-        "tasks": stats.tasks,
-        "task_failures": stats.task_failures,
-        "batches": stats.batches,
-        "max_in_flight": stats.max_in_flight,
-        "phase_seconds": {
-            name: round(seconds, 4) for name, seconds in stats.phase_seconds.items()
-        },
-    }
-
-
-def _extraction_summary(report):
-    """Process-pool extraction counters: sharding shape, hypothesis-memo
-    effectiveness and the interpretation-budget split."""
-    stats = report.extraction_stats
-    if stats is None:
-        return None
-    return stats.snapshot()
-
-
-def _cache_summary(report):
-    """Probe-cache counters; a warm rerun shows hits and zero remote
-    compiles/executions in machine_stats."""
-    stats = report.cache_stats
-    if stats is None:
-        return None
-    return {
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "hit_rate": round(stats.hit_rate, 4),
-        "writes": stats.writes,
-        "loaded": stats.loaded,
-        "evictions": stats.evictions,
-        "corrupt_entries": stats.corrupt_entries,
-        "hits_by_verb": dict(stats.hits_by_verb),
-        "misses_by_verb": dict(stats.misses_by_verb),
-    }
 
 
 def write_report(report, directory):
@@ -110,20 +35,8 @@ def write_report(report, directory):
     written.append(sem_path)
 
     summary_path = out / f"{report.target}.summary.json"
-    summary = dict(report.summary())
-    summary["phases"] = {t.name: round(t.seconds, 4) for t in report.timings}
-    summary["phase_timings"] = report.phase_timings
+    summary = report.summary()
     summary["spec"] = report.spec.summary()
-    summary["resilience"] = _resilience_summary(report)
-    scheduler = _scheduler_summary(report)
-    if scheduler is not None:
-        summary["scheduler"] = scheduler
-    cache = _cache_summary(report)
-    if cache is not None:
-        summary["cache"] = cache
-    extraction = _extraction_summary(report)
-    if extraction is not None:
-        summary["extraction"] = extraction
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")
     written.append(summary_path)
 

@@ -524,7 +524,7 @@ class DiscoveryService:
 
     def stats(self):
         """The ``/stats`` payload: queue composition, fleet load, and
-        the shared cache priced both live (this process's store and
+        the shared cache seen both live (this process's entry count and
         counters) and from disk (the shard inventory ``repro
         cache-info`` prints)."""
         by_state = {}
@@ -542,7 +542,7 @@ class DiscoveryService:
             "fleet": self.fleet,
             "active_workers": active,
             "running_jobs": supervised,
-            "cache": self.cache.shard_stats(),
+            "cache": self.cache.live_stats(),
             "cache_disk": cache_info(self.cache_dir),
             "admission": {
                 "max_backlog": self.max_backlog,
@@ -556,7 +556,7 @@ class DiscoveryService:
                 "reload_errors": self.registry.reload_errors,
                 "cache_writes": cache_writes,
             },
-            "cache_gc": dict(self.cache.gc_stats),
+            "cache_gc": self.cache.gc_stats.as_dict(),
         }
 
     # -- the shared cache ----------------------------------------------

@@ -66,9 +66,9 @@ def test_zero_fault_rate_adds_zero_executions():
 def test_faulty_report_carries_resilience_counters():
     machine, report = _faulty_discovery("mips", 0.2)
     summary = report.summary()
-    assert summary["faults_injected"] == machine.fault_stats.injected > 0
-    assert summary["retried_calls"] == report.retry_stats.retries > 0
-    assert "quarantined_samples" in summary
+    assert summary["fault"]["injected"] == machine.fault_stats.injected > 0
+    assert summary["retry"]["retries"] == report.retry_stats.retries > 0
+    assert summary["quarantined"] == report.quarantined
     assert _gcd_output(report) == "67\n"
 
 

@@ -206,7 +206,7 @@ def test_no_cache_flag_bypasses_reads_and_writes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert status == 0
     assert list(cache_dir.iterdir()) == []
-    assert "cache_hits" not in out
+    assert "  cache:" not in out.splitlines()
 
 
 def test_warm_rerun_issues_zero_remote_verbs(tmp_path):
@@ -228,5 +228,8 @@ def test_warm_rerun_issues_zero_remote_verbs(tmp_path):
     assert warm.spec.render_beg() == cold.spec.render_beg()
 
     summary = warm.summary()
-    assert summary["cache_hit_rate"] == 1.0
-    assert summary["target_executions"] == 0
+    assert summary["cache"]["hit_rate"] == 1.0
+    assert summary["machine"]["executions"] == 0
+    assert summary["machine"]["total_verbs"] == 0
+    # no phase of the warm run contacts the target
+    assert {t["verbs"] for t in summary["phase_timings"].values()} == {0}

@@ -24,8 +24,12 @@ def test_spec_identical_for_any_worker_count():
     assert fanned.scheduler_stats.workers == 8
     assert fanned.scheduler_stats.max_in_flight > 1
     assert fanned.scheduler_stats.tasks == serial.scheduler_stats.tasks
+    # Every verb of a fixed-width run is charged to exactly one phase.
+    for run in (serial, fanned):
+        phase_verbs = sum(t.verbs for t in run.timings)
+        assert phase_verbs == run.machine_stats.total_verbs > 0
     # The summary surfaces the fan-out.
-    assert fanned.summary()["workers"] == 8
+    assert fanned.summary()["scheduler"]["workers"] == 8
 
 
 def test_spec_identical_under_faults():
@@ -55,7 +59,8 @@ def test_empty_report_summary_has_no_division_by_zero():
     assert summary["samples"] == "0/0 analysed"
     assert summary["usable_fraction"] == 0.0
     assert summary["word"] == "?"
-    assert summary["target_executions"] == 0
+    assert "machine" not in summary  # no counters held, none reported
+    assert summary["phase_timings"] == {}
     assert report.render_summary()  # and render without crashing
 
 

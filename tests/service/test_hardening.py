@@ -407,6 +407,10 @@ def test_gc_journals_stats_for_cache_info(tmp_path):
     cache.gc(max_bytes=0, now=400)
     assert (tmp_path / ProbeCache.GC_SIDECAR).exists()
     info = cache_info(tmp_path)
+    assert list(info["gc"]) == [
+        "compacted_shards", "evicted_shards", "last", "reclaimed_bytes", "runs",
+    ]
+    assert info["gc"] == cache.gc_stats.as_dict()
     assert info["gc"]["runs"] == 1
     assert info["gc"]["evicted_shards"] == 3
     assert info["gc"]["reclaimed_bytes"] > 0

@@ -44,7 +44,8 @@ def test_stats_shape(stack):
     assert isinstance(stats["jobs"], dict)
     assert isinstance(stats["active_workers"], int)
     assert isinstance(stats["running_jobs"], list)
-    assert "cache" in stats and "cache_disk" in stats
+    store = stack.service.cache
+    assert stats["cache"] == {"entries": len(store), **store.stats.as_dict()}
     assert stats["cache_disk"]["directory"]
 
 
@@ -125,7 +126,7 @@ def test_warm_second_campaign_issues_zero_remote_probe_verbs(
     """A second campaign over the same targets answers every probe --
     sizing probes included -- from the shared cache: the service's miss
     and write counters must not move, and the workers' own summaries
-    must report zero target executions."""
+    must report zero remote verbs."""
     stats = stack.service.cache.stats
     misses_before, writes_before = stats.misses, stats.writes
     job = stack.client.submit(TARGETS, workers="auto")
@@ -144,11 +145,11 @@ def test_warm_second_campaign_issues_zero_remote_probe_verbs(
             / "logs"
             / "attempt-01.out"
         ).read_text()
-        execution_lines = [
-            line for line in log.splitlines() if "target_executions" in line
+        verb_lines = [
+            line for line in log.splitlines() if line.split(":")[0].strip() == "total_verbs"
         ]
-        assert execution_lines, f"{target}: no execution counter in worker log"
-        assert execution_lines[0].rstrip().endswith(" 0"), execution_lines[0]
+        assert verb_lines, f"{target}: no verb counter in worker log"
+        assert verb_lines[0].rstrip().endswith(" 0"), verb_lines[0]
 
 
 # -- cancellation --------------------------------------------------------

@@ -5,8 +5,20 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.discovery.driver import ArchitectureDiscovery
 from repro.reporting import write_report
 from tests.discovery.conftest import discovery_report
+
+#: flat copies of counters (and timing copies) summary.json used to hold
+REMOVED_SUMMARY_KEYS = {
+    "target_executions", "quarantined_samples", "retried_calls",
+    "transient_errors", "vote_runs", "faults_injected", "workers",
+    "parallel_tasks", "max_in_flight", "cache_hits", "cache_misses",
+    "cache_hit_rate", "cache_evictions", "cache_corrupt_entries",
+    "extract_procs", "extract_shards", "extract_dispatched_shards",
+    "hypothesis_memo_hits", "hypothesis_memo_hit_rate", "ri_budget_spent",
+    "ri_budget_unspent", "resilience", "phases",
+}
 
 
 class TestCli:
@@ -115,7 +127,30 @@ class TestReporting:
         directory, _written = artifacts
         summary = json.loads((directory / "mips.summary.json").read_text())
         assert summary["target"] == "mips"
-        assert "phases" in summary and "mutation analysis" in summary["phases"]
+        assert "mutation analysis" in summary["phase_timings"]
+
+    def test_summary_json_holds_each_number_once(self, artifacts):
+        directory, _written = artifacts
+        summary = json.loads((directory / "mips.summary.json").read_text())
+        report = discovery_report("mips")
+        assert not REMOVED_SUMMARY_KEYS & set(summary)
+        assert "phase_timings" not in summary["spec"]
+        # one timing entry per completed phase, each carrying its verbs
+        phases = [name for name, _ in ArchitectureDiscovery.PHASES]
+        assert list(summary["phase_timings"]) == phases
+        assert [t.name for t in report.timings] == phases
+        assert all(
+            set(entry) == {"wall_s", "cpu_s", "verbs"}
+            for entry in summary["phase_timings"].values()
+        )
+        # each counter block is its stats object's as_dict(), nothing else
+        assert summary["machine"] == report.machine_stats.as_dict()
+        assert summary["retry"] == report.retry_stats.as_dict()
+        assert summary["scheduler"] == report.scheduler_stats.as_dict()
+        assert summary["extraction"] == report.extraction_stats.as_dict()
+        assert set(summary["mutation"]) == {"attempted", "succeeded", "runs"}
+        assert "fault" not in summary and "cache" not in summary
+        assert summary["quarantined"] == report.quarantined == []
 
     def test_dfg_dot_files(self, artifacts):
         directory, _written = artifacts
