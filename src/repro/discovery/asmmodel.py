@@ -15,6 +15,8 @@ from dataclasses import dataclass, field, replace
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][A-Za-z0-9_.$]*)\s*:\s*(.*)$")
 # identifier-ish operand tokens; the leading % admits %-prefixed registers
 _IDENT_RE = re.compile(r"^[%A-Za-z_.$][A-Za-z0-9_.$]*$")
+# the characters that split an operand list or change its bracket depth
+_OPERAND_PUNCT_RE = re.compile(r"[,()\[\]]")
 
 
 # -- operands ----------------------------------------------------------
@@ -138,6 +140,12 @@ class DInstr:
     raw: str = ""
     glued: bool = False
 
+    #: the rendered text, cached by ``DiscoveredSyntax.render_instr``.
+    #: Not a field: ``clone`` never copies it and checkpoints leave it
+    #: out.  An instruction is therefore never edited in place once it
+    #: may have been rendered; edit a fresh clone instead.
+    rendered = None
+
     def clone(self, **changes):
         new = DInstr(
             mnemonic=changes.get("mnemonic", self.mnemonic),
@@ -209,18 +217,17 @@ def split_operand_texts(text):
     """Split an operand list on top-level commas, respecting brackets."""
     parts = []
     depth = 0
-    current = []
-    for ch in text:
+    start = 0
+    for match in _OPERAND_PUNCT_RE.finditer(text):
+        ch = match.group()
         if ch in "([":
             depth += 1
         elif ch in ")]":
             depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    tail = "".join(current).strip()
+        elif depth == 0:
+            parts.append(text[start : match.start()].strip())
+            start = match.end()
+    tail = text[start:].strip()
     if tail or parts:
         parts.append(tail)
     return parts

@@ -51,12 +51,11 @@ from repro.discovery.reverse_interp import (
     ExtractionResult,
     HypothesisMemo,
     InlineEvaluator,
+    RegionTable,
     ReverseInterpreter,
     first_passing_index,
     hypotheses,
     hypothesis_shape_key,
-    opkey,
-    sample_keys,
 )
 
 #: shards at most this large are dispatched whole to a worker; larger
@@ -111,7 +110,7 @@ class ExtractionStats(Counters):
 # -- sharding -----------------------------------------------------------------
 
 
-def partition_shards(samples):
+def partition_shards(samples, regions=None):
     """Group samples into opkey-connected components (union-find).
 
     Samples sharing any extraction unknown must see each other's
@@ -119,6 +118,7 @@ def partition_shards(samples):
     are independent by construction.  Shards are returned ordered by
     their first sample's corpus position -- a pure function of the
     corpus, identical for every process count."""
+    regions = RegionTable() if regions is None else regions
     parent = {}
 
     def find(x):
@@ -137,7 +137,7 @@ def partition_shards(samples):
         mine = ("sample", position)
         parent[mine] = mine
         roots.append(mine)
-        for key in sample_keys(sample):
+        for key in regions.of(sample).first:
             kid = ("key", key)
             if kid not in parent:
                 parent[kid] = kid
@@ -185,6 +185,8 @@ class WorkerContext:
     samples_by_name: dict
     addr_map: object
     bits: int
+    #: each sample's KeyedRegion, built once the regions are final
+    regions: RegionTable
     use_likelihood: bool = True
     memo_enabled: bool = True
 
@@ -275,7 +277,8 @@ def _task_first_passing(name, sem, extra_effects, solved_names, assignments):
     sample = ctx.samples_by_name[name]
     solved = [ctx.samples_by_name[n] for n in solved_names]
     return first_passing_index(
-        sample, sem, extra_effects, solved, assignments, ctx.addr_map, ctx.bits
+        sample, sem, extra_effects, solved, assignments, ctx.addr_map, ctx.bits,
+        ctx.regions,
     )
 
 
@@ -299,6 +302,7 @@ def _run_shard(index, names, budget, graph_roles, memo, evaluator, prefetch=None
         samples=samples,
         discard_failed=False,
         prefetch=prefetch,
+        regions=ctx.regions,
     )
     result = interpreter.extract()
     return result, pool
@@ -394,11 +398,12 @@ class PooledEvaluator:
     never affects the outcome: the winner is the first passing vector
     in enumeration order, wherever each chunk was checked."""
 
-    def __init__(self, pool, addr_map, bits, stats, chunk=None, inline_wave=None):
+    def __init__(self, pool, addr_map, bits, stats, regions, chunk=None, inline_wave=None):
         self.pool = pool
         self.addr_map = addr_map
         self.bits = bits
         self.stats = stats
+        self.regions = regions
         self.chunk = EVAL_CHUNK if chunk is None else chunk
         self.inline_wave = INLINE_WAVE if inline_wave is None else inline_wave
 
@@ -411,7 +416,7 @@ class PooledEvaluator:
         if len(assignments) <= self.inline_wave:
             return first_passing_index(
                 sample, sem, extra_effects, solved_samples, assignments,
-                self.addr_map, self.bits,
+                self.addr_map, self.bits, self.regions,
             )
         solved_names = [s.name for s in solved_samples]
         chunks = _split_even(assignments, self.pool.procs)
@@ -442,13 +447,6 @@ class PooledEvaluator:
 #: of their solve; bounds the speculative waste when an earlier solve
 #: commits a key the lookahead already enqueued work for
 PREFETCH_WINDOW = 8
-
-
-def _first_instance_of(sample, key):
-    for i, instr in enumerate(sample.region):
-        if instr.mnemonic and opkey(instr) == key:
-            return i
-    return None
 
 
 class _PrefetchedMemo:
@@ -493,7 +491,7 @@ class HypothesisPrefetcher:
 
     window = PREFETCH_WINDOW
 
-    def __init__(self, pool, memo, graph_roles, use_likelihood, bits, stats):
+    def __init__(self, pool, memo, graph_roles, use_likelihood, bits, stats, regions):
         self.pool = pool
         self.base = memo
         self.memo = _PrefetchedMemo(memo, self)
@@ -501,15 +499,13 @@ class HypothesisPrefetcher:
         self.use_likelihood = use_likelihood
         self.bits = bits
         self.stats = stats
+        self.regions = regions
         self.futures = {}
 
     def __call__(self, upcoming, result, revision=False):
         for sample in upcoming[: self.window]:
-            for key in sample_keys(sample):
+            for key, index in self.regions.of(sample).first.items():
                 if key in result.semantics and not revision:
-                    continue
-                index = _first_instance_of(sample, key)
-                if index is None:
                     continue
                 role = (
                     self.graph_roles.get((sample.name, index))
@@ -550,6 +546,7 @@ class ExtractionEngine:
         self.bits = None
         self.use_likelihood = True
         self._samples = []
+        self.regions = RegionTable()
 
     # -- lifecycle -----------------------------------------------------
 
@@ -565,6 +562,9 @@ class ExtractionEngine:
             for s in corpus.usable_samples()
             if s.kind in self.RI_KINDS and getattr(s, "info", None) is not None
         ]
+        self.regions = RegionTable()
+        for sample in self._samples:
+            self.regions.of(sample)
         _install_context(
             WorkerContext(
                 samples_by_name={s.name: s for s in self._samples},
@@ -572,6 +572,7 @@ class ExtractionEngine:
                 bits=bits,
                 use_likelihood=use_likelihood,
                 memo_enabled=self.memo_enabled,
+                regions=self.regions,
             )
         )
         self._prepared = True
@@ -620,7 +621,7 @@ class ExtractionEngine:
         """
         samples = list(ri_samples) if ri_samples is not None else list(self._samples)
         by_name = {s.name: s for s in samples}
-        shards = partition_shards(samples)
+        shards = partition_shards(samples, self.regions)
         sizes = [len(shard) for shard in shards]
         shares = split_budget(budget, sizes)
         self.stats.shards = len(shards)
@@ -705,12 +706,15 @@ class ExtractionEngine:
 
     def _parent_evaluator(self):
         if self.pool is not None:
-            return PooledEvaluator(self.pool, self.addr_map, self.bits, self.stats)
-        return InlineEvaluator(self.addr_map, self.bits)
+            return PooledEvaluator(
+                self.pool, self.addr_map, self.bits, self.stats, self.regions
+            )
+        return InlineEvaluator(self.addr_map, self.bits, self.regions)
 
     def _make_prefetcher(self, memo, roles):
         if self.pool is None or memo is None:
             return None
         return HypothesisPrefetcher(
-            self.pool, memo, roles, self.use_likelihood, self.bits, self.stats
+            self.pool, memo, roles, self.use_likelihood, self.bits, self.stats,
+            self.regions,
         )

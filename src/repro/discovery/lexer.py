@@ -13,29 +13,34 @@ from repro.discovery.asmmodel import DInstr, split_lines
 from repro.errors import DiscoveryError
 
 
+def _parse(asm_text, comment_char):
+    """The raw lines, and an (index of the raw line, :class:`RawLine`)
+    pair for each line that is not blank or comment-only."""
+    raw_lines = asm_text.splitlines()
+    parsed = []
+    for index, raw in enumerate(raw_lines):
+        for line in split_lines(raw, comment_char):
+            parsed.append((index, line))
+    return raw_lines, parsed
+
+
 def find_delimiters(asm_text, comment_char):
     """Return (begin_label, end_label): the two labels referenced at
     least three times, in definition order."""
+    return _delimiters(_parse(asm_text, comment_char)[1])
+
+
+def _delimiters(parsed):
     defined = {}  # label -> definition line index (in raw text lines)
     references = {}
-    raw_lines = asm_text.splitlines()
-    for index, raw in enumerate(raw_lines):
-        parsed = split_lines(raw, comment_char)
-        if not parsed:
-            continue
-        line = parsed[0]
+    for index, line in parsed:
         for label in line.labels:
             defined.setdefault(label, index)
-    label_names = set(defined)
-    for raw in raw_lines:
-        parsed = split_lines(raw, comment_char)
-        if not parsed:
-            continue
-        line = parsed[0]
+    for _index, line in parsed:
         if line.mnemonic is None or line.is_directive:
             continue
         for token in line.operand_texts:
-            if token in label_names:
+            if token in defined:
                 references[token] = references.get(token, 0) + 1
     hot = sorted(
         (label for label, count in references.items() if count >= 3),
@@ -51,13 +56,12 @@ def find_delimiters(asm_text, comment_char):
 def extract_region(sample, syntax):
     """Split the sample's assembly into (pre_lines, region, post_lines)
     and tokenize the region instructions; fills the sample in place."""
-    begin, end = find_delimiters(sample.asm_text, syntax.comment_char)
-    raw_lines = sample.asm_text.splitlines()
+    raw_lines, parsed = _parse(sample.asm_text, syntax.comment_char)
+    begin, end = _delimiters(parsed)
 
     def def_line(label):
-        for index, raw in enumerate(raw_lines):
-            parsed = split_lines(raw, syntax.comment_char)
-            if parsed and label in parsed[0].labels:
+        for index, line in parsed:
+            if label in line.labels:
                 return index
         raise DiscoveryError(f"label {label!r} vanished")
 
@@ -68,8 +72,8 @@ def extract_region(sample, syntax):
 
     sample.pre_lines = raw_lines[: begin_index + 1]
     sample.post_lines = raw_lines[end_index:]
-    sample.region = tokenize_region(
-        raw_lines[begin_index + 1 : end_index], syntax
+    sample.region = _tokenize(
+        [line for index, line in parsed if begin_index < index < end_index], syntax
     )
     sample.notes.append(f"delimiters: {begin}..{end}")
     return sample
@@ -77,26 +81,33 @@ def extract_region(sample, syntax):
 
 def tokenize_region(raw_lines, syntax):
     """Tokenize assembly lines into :class:`DInstr` records."""
+    return _tokenize(
+        [line for raw in raw_lines for line in split_lines(raw, syntax.comment_char)],
+        syntax,
+    )
+
+
+def _tokenize(lines, syntax):
+    """Tokenize :class:`RawLine` records."""
     instrs = []
     pending_labels = []
-    for raw in raw_lines:
-        for line in split_lines(raw, syntax.comment_char):
-            pending_labels.extend(line.labels)
-            if line.mnemonic is None:
-                continue
-            if line.is_directive:
-                # Directives inside a region are kept as opaque zero-cost
-                # instructions so they survive re-rendering.
-                instrs.append(
-                    DInstr(line.mnemonic, [], labels=pending_labels, raw=raw)
-                )
-                pending_labels = []
-                continue
-            operands = [syntax.classify(token) for token in line.operand_texts]
+    for line in lines:
+        pending_labels.extend(line.labels)
+        if line.mnemonic is None:
+            continue
+        if line.is_directive:
+            # Directives inside a region are kept as opaque zero-cost
+            # instructions so they survive re-rendering.
             instrs.append(
-                DInstr(line.mnemonic, operands, labels=pending_labels, raw=raw)
+                DInstr(line.mnemonic, [], labels=pending_labels, raw=line.text)
             )
             pending_labels = []
+            continue
+        operands = [syntax.classify(token) for token in line.operand_texts]
+        instrs.append(
+            DInstr(line.mnemonic, operands, labels=pending_labels, raw=line.text)
+        )
+        pending_labels = []
     if pending_labels:
         # Trailing labels: attach to a synthetic no-op so they re-render.
         instrs.append(DInstr("", [], labels=pending_labels))

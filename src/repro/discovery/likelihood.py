@@ -18,7 +18,7 @@ before the search starts and never re-scored.
 from __future__ import annotations
 
 from repro.discovery.primitives import C_OP_PRIM, NAME_HINTS
-from repro.discovery.terms import term_size
+from repro.discovery.terms import TermTable
 
 #: implementation-specific weights (paper: "the c's are implementation
 #: specific weights"); M dominates, N barely matters.
@@ -44,80 +44,90 @@ EXPANSIONS = {
 }
 
 
-def _prims_used(term, acc):
-    if term[0] in ("val", "ireg", "const"):
-        return
-    acc.add(term[0])
-    for arg in term[1:]:
-        _prims_used(arg, acc)
+class Scorer:
+    """L(S, I, R) for one instruction instance.  The parts that depend
+    only on the sample, the instruction and its graph role are worked
+    out once; each call then combines the per-term facts of one
+    hypothesis."""
 
+    def __init__(self, sample, instr, role):
+        op_prim = C_OP_PRIM.get(sample.op or "", None)
+        if sample.op == "-" and sample.kind == "unary":
+            op_prim = "neg"
+        if sample.op == "~":
+            op_prim = "not"
+        self.op_prim = op_prim
+        self.role = role
+        # Multi-instruction expansions (mod = div+mul+sub, shifts
+        # through a negated count...) mean the compute/forward nodes may
+        # carry any primitive from the operator's expansion set; the
+        # sample prior admits the same set (the paper notes
+        # multiplication by constants becomes shifts and adds).
+        self.expansion = frozenset(EXPANSIONS.get(op_prim, (op_prim,) if op_prim else ()))
+        mnemonic = instr.mnemonic.lower()
+        #: prim -> does the mnemonic carry one of its name hints
+        self.hinted = {
+            prim: any(h in mnemonic for h in hints) for prim, hints in NAME_HINTS.items()
+        }
 
-def _is_identity(term):
-    return term[0] in ("val", "ireg")
+    def __call__(self, effects, terms):
+        """Score one hypothesis; *terms* is the :class:`TermTable` its
+        terms come from."""
+        prims = set()
+        total_size = 0
+        for _target, term in effects:
+            facts = terms[term]
+            # in first-use order, as a recursive walk would add them:
+            # the N term below sums over this set in its iteration order
+            prims.update(facts.prims)
+            total_size += facts.size
+        identity = all(term[0] in ("val", "ireg") for _target, term in effects)
+        expansion = self.expansion
+        role = self.role
+
+        # -- M: graph matching evidence -------------------------------
+        m = 0.0
+        if role == "compute" and self.op_prim is not None:
+            if prims and prims <= expansion:
+                m += 1.0  # mnemonic hints (N) break ties inside the set
+            elif prims:
+                m -= 0.5
+        elif role == "forward":
+            if identity:
+                m += 1.0
+            elif prims and prims <= expansion:
+                m += 0.5
+            elif prims:
+                m -= 0.5
+        elif role in ("load", "store"):
+            if identity:
+                m += 1.0
+            elif prims:
+                m -= 0.5
+
+        # -- P: sample prior --------------------------------------------
+        alien = prims - expansion
+        p = 0.5 if not alien else -0.3 * len(alien)
+
+        # -- G: signature clues ------------------------------------------
+        g = 0.0
+        writes_mem = any(target[0] == "mem" for target, _term in effects)
+        if writes_mem and identity:
+            g += 0.5  # an instruction with no register result stores
+        if not effects:
+            g -= 0.2  # pure no-ops are rare in a minimal region
+
+        # -- N: mnemonic hints ----------------------------------------------
+        n = 0.0
+        for prim in prims or {"move"}:
+            if self.hinted.get(prim, False):
+                n += 1.0
+            else:
+                n -= 0.2
+
+        return C1 * m + C2 * p + C3 * g + C4 * n - SIZE_PENALTY * max(0, total_size - 1)
 
 
 def score(sample, instr, effects, role):
     """Score one semantics hypothesis for one instruction."""
-    prims = set()
-    total_size = 0
-    for _target, term in effects:
-        _prims_used(term, prims)
-        total_size += term_size(term)
-
-    op_prim = C_OP_PRIM.get(sample.op or "", None)
-    if sample.op == "-" and sample.kind == "unary":
-        op_prim = "neg"
-    if sample.op == "~":
-        op_prim = "not"
-
-    # -- M: graph matching evidence -----------------------------------
-    # Multi-instruction expansions (mod = div+mul+sub, shifts through a
-    # negated count...) mean the compute/forward nodes may carry any
-    # primitive from the operator's expansion set.
-    expansion = set(EXPANSIONS.get(op_prim, (op_prim,) if op_prim else ()))
-    m = 0.0
-    if role == "compute" and op_prim is not None:
-        if prims and prims <= expansion:
-            m += 1.0  # mnemonic hints (N) break ties inside the set
-        elif prims:
-            m -= 0.5
-    elif role == "forward":
-        if all(_is_identity(term) for _t, term in effects):
-            m += 1.0
-        elif prims and prims <= expansion:
-            m += 0.5
-        elif prims:
-            m -= 0.5
-    elif role in ("load", "store"):
-        if all(_is_identity(term) for _t, term in effects):
-            m += 1.0
-        elif prims:
-            m -= 0.5
-
-    # -- P: sample prior ------------------------------------------------
-    # Compilers expand some operators (the paper notes multiplication by
-    # constants becomes shifts and adds); the prior admits the typical
-    # expansion set of the sample's operator.
-    expected = set(EXPANSIONS.get(op_prim, (op_prim,) if op_prim else ()))
-    alien = prims - expected
-    p = 0.5 if not alien else -0.3 * len(alien)
-
-    # -- G: signature clues ----------------------------------------------
-    g = 0.0
-    writes_mem = any(target[0] == "mem" for target, _t in effects)
-    if writes_mem and all(_is_identity(term) for _t, term in effects):
-        g += 0.5  # an instruction with no register result stores
-    if not effects:
-        g -= 0.2  # pure no-ops are rare in a minimal region
-
-    # -- N: mnemonic hints --------------------------------------------------
-    n = 0.0
-    mnemonic = instr.mnemonic.lower()
-    for prim in prims or {"move"}:
-        hints = NAME_HINTS.get(prim, ())
-        if any(h in mnemonic for h in hints):
-            n += 1.0
-        else:
-            n -= 0.2
-
-    return C1 * m + C2 * p + C3 * g + C4 * n - SIZE_PENALTY * max(0, total_size - 1)
+    return Scorer(sample, instr, role)(effects, TermTable())

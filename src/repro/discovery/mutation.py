@@ -15,17 +15,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro import wordops
 from repro.counters import Counters
 from repro.discovery.asmmodel import DInstr, DReg
 
 
 # -- pure structural mutations ------------------------------------------
+#
+# Each returns a new list that shares every instruction it leaves
+# unchanged with its input; only a changed instruction is a new object.
+# So no code may edit an instruction of a list in place: it may be the
+# sample's own region, and its rendered text is cached on it.
 
 
 def delete(instrs, index):
     """Remove instruction *index*, preserving its labels."""
-    out = [i.clone() for i in instrs]
+    out = list(instrs)
     victim = out.pop(index)
     if victim.labels:
         if index < len(out):
@@ -34,18 +38,19 @@ def delete(instrs, index):
             out.append(DInstr("", [], labels=victim.labels))
     return out
 
+
 def insert(instrs, index, new_instrs):
     """Insert instructions before position *index*."""
-    out = [i.clone() for i in instrs]
+    out = list(instrs)
     for offset, instr in enumerate(new_instrs):
-        out.insert(index + offset, instr.clone())
+        out.insert(index + offset, instr)
     return out
 
 
 def move(instrs, src, dst):
     """Move instruction *src* so it lands at position *dst* (pre-removal
     indexing)."""
-    out = [i.clone() for i in instrs]
+    out = list(instrs)
     instr = out.pop(src)
     if dst > src:
         dst -= 1
@@ -55,9 +60,8 @@ def move(instrs, src, dst):
 
 def copy(instrs, src, after):
     """Duplicate instruction *src* after position *after*."""
-    out = [i.clone() for i in instrs]
-    duplicate = out[src].clone(labels=[])
-    out.insert(after + 1, duplicate)
+    out = list(instrs)
+    out.insert(after + 1, instrs[src].clone(labels=[]))
     return out
 
 
@@ -67,12 +71,9 @@ def rename(instrs, old, new, occurrences):
     by_instr = {}
     for instr_idx, op_idx in occurrences:
         by_instr.setdefault(instr_idx, set()).add(op_idx)
-    out = []
-    for idx, instr in enumerate(instrs):
-        if idx in by_instr:
-            out.append(instr.rename_register(old, new, positions=by_instr[idx]))
-        else:
-            out.append(instr.clone())
+    out = list(instrs)
+    for idx, positions in by_instr.items():
+        out[idx] = instrs[idx].rename_register(old, new, positions=positions)
     return out
 
 
@@ -177,12 +178,11 @@ class MutationEngine:
     # -- clobber support -------------------------------------------------------
 
     def clobber_value(self):
-        lo = -(2 ** (self.word_bits - 1))
-        hi = 2 ** (self.word_bits - 1) - 1
-        value = self.rng.randint(lo, hi)
-        if wordops.mask(value, self.word_bits) in (0, 1):
-            value = 0x5EED
-        return value
+        """One draw from the signed word range; 0 and 1 (which make
+        ``x*c``, ``x/c``, ``x&c``... degenerate) become 0x5EED."""
+        half = 1 << (self.word_bits - 1)
+        value = self.rng.randrange(-half, half)
+        return 0x5EED if value in (0, 1) else value
 
     def clobber_instr(self, reg, value=None):
         value = self.clobber_value() if value is None else value

@@ -157,7 +157,8 @@ def _build_registry():
         "DSym": _Entry(DSym),
         "DUnknown": _Entry(DUnknown),
         "Slot": _Entry(Slot),
-        "DInstr": _Entry(DInstr),
+        # the rendered-text cache is derived, and clones never share it
+        "DInstr": _Entry(DInstr, exclude=("rendered",)),
         "Enquire": _Entry(EnquireResult),
         "ProbeLog": _Entry(
             ProbeLog, exclude=("_lock",), restore=_restore_probe_log

@@ -78,7 +78,8 @@ class Preprocessor:
         discards it when analysis cannot proceed)."""
         info = RegionInfo()
         sample.info = info
-        info.call_like = self._find_call_like(sample)
+        outside = self._outside_labels(sample)
+        info.call_like = self._find_call_like(sample, outside)
         info.clobber_safe = self.engine.clobber_safe_registers(sample)
         self._normalise_delay_slots(sample, info)
         # The calling-convention analysis wants the region before
@@ -86,7 +87,7 @@ class Preprocessor:
         # are "redundant" for the sample but part of the protocol).
         sample.region_original = [instr.clone() for instr in sample.region]
         self._eliminate_redundant(sample, info)
-        info.call_like = self._find_call_like(sample)
+        info.call_like = self._find_call_like(sample, outside)
         self._split_live_ranges(sample, info)
         self._implicit_arguments(sample, info)
         self._def_use(sample, info)
@@ -94,13 +95,27 @@ class Preprocessor:
 
     # -- call-like detection ------------------------------------------------
 
-    def _find_call_like(self, sample):
-        """Instructions referencing a symbol not defined in this file
-        transfer control to external code (call/jal/jsr/calls)."""
+    def _outside_labels(self, sample):
+        """The labels defined outside the region; only a region that
+        references a bare symbol needs them (the preprocessing passes
+        never add one)."""
         defined = set()
+        if not any(
+            isinstance(op, DSym) and not op.prefix
+            for instr in sample.region
+            for op in instr.operands
+        ):
+            return defined
         text = "\n".join(sample.pre_lines + sample.post_lines)
         for line in split_lines(text, self.syntax.comment_char):
             defined.update(line.labels)
+        return defined
+
+    def _find_call_like(self, sample, outside):
+        """Instructions referencing a symbol not defined in this file
+        (*outside* holds the labels defined outside the region) transfer
+        control to external code (call/jal/jsr/calls)."""
+        defined = set(outside)
         for instr in sample.region:
             defined.update(instr.labels)
         call_like = []
@@ -341,17 +356,16 @@ class Preprocessor:
 
         def build(rng):
             new_reg = rng.choice(fresh)
-            mutated = [instr.clone() for instr in sample.region]
             insert_at = target[0]
             copies = []
             for i in chain_instrs:
                 if i == target[0]:
                     continue
                 copies.append(
-                    mutated[i].rename_register(reg, new_reg).clone(labels=[], glued=False)
+                    sample.region[i].rename_register(reg, new_reg).clone(labels=[], glued=False)
                 )
             # Rename the tested occurrence itself.
-            renamed = mut.rename(mutated, reg, new_reg, [target])
+            renamed = mut.rename(sample.region, reg, new_reg, [target])
             if renamed[insert_at].glued:
                 insert_at -= 1
             renamed = mut.insert(renamed, insert_at, copies)

@@ -18,11 +18,13 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro import wordops
 from repro.discovery import likelihood
 from repro.discovery.asmmodel import DImm, DMem, DReg, DSym
-from repro.discovery.terms import TermEvalError, enumerate_terms, eval_term, render_effects
+from repro.discovery.primitives import TERM_PRIMS
+from repro.discovery.terms import TermTable, enumerate_terms, render_effects, term_size
 from repro.errors import DiscoveryError
 
 
@@ -65,6 +67,37 @@ def opkey(instr):
     if targets:
         key += "@" + ",".join(targets)
     return key
+
+
+class KeyedRegion(NamedTuple):
+    """A preprocessed region's extraction unknowns, worked out once."""
+
+    #: (instr, opkey) for each instruction with a mnemonic, in order
+    steps: tuple
+    #: opkey -> index of its first instance; the keys are the sample's
+    #: extraction unknowns, in region order
+    first: dict
+
+
+def keyed_region(sample):
+    steps, first = [], {}
+    for index, instr in enumerate(sample.region):
+        if instr.mnemonic:
+            key = opkey(instr)
+            steps.append((instr, key))
+            first.setdefault(key, index)
+    return KeyedRegion(tuple(steps), first)
+
+
+class RegionTable(dict):
+    """sample name -> :class:`KeyedRegion`, each built on first use.
+    Valid while the regions stay fixed, i.e. for one extraction."""
+
+    def of(self, sample):
+        region = self.get(sample.name)
+        if region is None:
+            region = self[sample.name] = keyed_region(sample)
+        return region
 
 
 # -- machine state ---------------------------------------------------------
@@ -141,14 +174,9 @@ def _eval_effect_term(term, read, bits):
         return term[1]
     args = [_eval_effect_term(arg, read, bits) for arg in term[1:]]
     if all(_is_int(a) for a in args):
-        try:
-            return eval_term(
-                (term[0], *[("const", a) for a in args]),
-                lambda leaf: leaf[1],
-                bits,
-            )
-        except TermEvalError as exc:
-            raise InterpFail(str(exc)) from None
+        if term[0] in ("div", "mod") and args[1] % (1 << bits) == 0:
+            raise InterpFail("division by zero")
+        return TERM_PRIMS[term[0]][1](bits, *args)
     if term[0] == "add" and len(args) == 2:
         first, second = args
         if isinstance(first, Addr) and _is_int(second):
@@ -183,23 +211,23 @@ def apply_effects(state, instr, effects):
             raise InterpFail(f"unknown target {target!r}")
 
 
-def interpret_region(sample, sem, addr_map, bits):
-    """Run the whole region; returns the final MachineState."""
+def interpret_region(sample, sem, addr_map, bits, region=None):
+    """Run the whole region; returns the final MachineState.  *region*
+    is the sample's :class:`KeyedRegion`, when the caller holds one."""
     state = MachineState(addr_map, sample.values, bits)
-    for instr in sample.region:
-        if not instr.mnemonic:
-            continue
-        effects = sem.get(opkey(instr))
+    region = keyed_region(sample) if region is None else region
+    for instr, key in region.steps:
+        effects = sem.get(key)
         if effects is None:
-            raise InterpFail(f"no semantics for {opkey(instr)}")
+            raise InterpFail(f"no semantics for {key}")
         apply_effects(state, instr, effects)
     return state
 
 
-def check_sample(sample, sem, addr_map, bits):
+def check_sample(sample, sem, addr_map, bits, region=None):
     """Does the region, under *sem*, leave the expected value in @L1.a?"""
     try:
-        state = interpret_region(sample, sem, addr_map, bits)
+        state = interpret_region(sample, sem, addr_map, bits, region)
     except InterpFail:
         return False
     expected = wordops.mask(int(sample.expected_output.strip()), bits)
@@ -234,48 +262,13 @@ def _visible_partition(sample, index):
     return reg_defs, value_leaves, mem_ops, usedefs
 
 
-_RIGHT_IDENTITY_CONSTS = {
-    ("mul", 1),
-    ("div", 1),
-    ("add", 0),
-    ("sub", 0),
-    ("or", 0),
-    ("xor", 0),
-    ("shiftLeft", 0),
-    ("shiftRight", 0),
-    ("shiftRightU", 0),
-}
-
-_COMMUTATIVE = ("mul", "add", "or", "xor", "and")
-
-
-def _has_disguised_identity(term):
-    """``mul(x, 1)``, ``add(x, 0)``... are never the *simplest*
-    interpretation of anything; rejecting them also stops them from
-    smuggling an identity past the use-def constraint."""
-    if term[0] in ("val", "ireg", "const"):
-        return False
-    if len(term) == 3:
-        prim, left, right = term
-        if right[0] == "const" and (prim, right[1]) in _RIGHT_IDENTITY_CONSTS:
-            return True
-        if (
-            prim in _COMMUTATIVE
-            and left[0] == "const"
-            and (prim, left[1]) in _RIGHT_IDENTITY_CONSTS
-        ):
-            return True
-    return any(_has_disguised_identity(arg) for arg in term[1:])
-
-
-def _respects_usedef(effects, usedefs):
+def _respects_usedef(effects, usedefs, terms):
     """A use-def operand was *proven* (Figure 9) to be both read and
     observably rewritten: its leaf must appear somewhere, and its write
     must not be a plain pass-through of its own old value."""
-    leaves = set()
-    for _target, term in effects:
-        for leaf in term_leaves_of(term):
-            leaves.add(leaf)
+    if not usedefs:
+        return True
+    leaves = frozenset().union(*(terms[term].leaves for _target, term in effects))
     for k in usedefs:
         if ("val", k) not in leaves:
             return False
@@ -283,14 +276,6 @@ def _respects_usedef(effects, usedefs):
             if target == ("op", k) and term == ("val", k):
                 return False
     return True
-
-
-def term_leaves_of(term):
-    if term[0] in ("val", "ireg", "const"):
-        yield term
-        return
-    for arg in term[1:]:
-        yield from term_leaves_of(arg)
 
 
 def hypotheses(sample, index, role, max_candidates=MAX_CANDIDATES):
@@ -303,6 +288,8 @@ def hypotheses(sample, index, role, max_candidates=MAX_CANDIDATES):
     implicit_out = sorted(info.implicit_out.get(index, ()))
     maybes = sorted(info.implicit_maybe.get(index, ()))[:MAX_MAYBE_REGS]
 
+    terms = TermTable()
+    score = likelihood.Scorer(sample, instr, role)
     scored = []
     for maybe_roles in itertools.product(("none", "in", "out", "inout"), repeat=len(maybes)):
         extra_in = [r for r, m in zip(maybes, maybe_roles) if m in ("in", "inout")]
@@ -327,34 +314,32 @@ def hypotheses(sample, index, role, max_candidates=MAX_CANDIDATES):
             all_leaves = leaves + [("val", k) for k in mem_ins]
             if not targets:
                 effects = ()
-                scored.append((likelihood.score(sample, instr, effects, role), effects))
+                scored.append((score(effects, terms), effects))
                 continue
             if not all_leaves:
                 continue
+            # An identity in disguise (mul(x, 1)...) would smuggle an
+            # identity past the use-def constraint.
             term_stream = (
                 t
                 for t in enumerate_terms(all_leaves, max_size=3)
-                if not _has_disguised_identity(t)
+                if not terms[t].disguised
             )
             per_output = list(itertools.islice(term_stream, MAX_TERMS_PER_OUTPUT))
             if len(targets) == 1:
                 for term in per_output:
                     effects = ((targets[0], term),)
-                    if not _respects_usedef(effects, usedefs):
+                    if not _respects_usedef(effects, usedefs, terms):
                         continue
-                    scored.append(
-                        (likelihood.score(sample, instr, effects, role), effects)
-                    )
+                    scored.append((score(effects, terms), effects))
             else:
                 # Multiple outputs: bound the cross product by size.
                 short = per_output[:60]
                 for combo in itertools.product(short, repeat=len(targets)):
                     effects = tuple(zip(targets, combo))
-                    if not _respects_usedef(effects, usedefs):
+                    if not _respects_usedef(effects, usedefs, terms):
                         continue
-                    scored.append(
-                        (likelihood.score(sample, instr, effects, role), effects)
-                    )
+                    scored.append((score(effects, terms), effects))
     scored.sort(key=lambda item: -item[0])
     seen = set()
     out = []
@@ -473,36 +458,27 @@ class VectorEnumerator:
         return out
 
 
-def sample_keys(sample):
-    """The sample's extraction unknowns, in region order."""
-    keys = []
-    for instr in sample.region:
-        if instr.mnemonic:
-            key = opkey(instr)
-            if key not in keys:
-                keys.append(key)
-    return keys
-
-
 def first_passing_index(sample, sem, extra_effects, solved_samples, assignments,
-                        addr_map, bits):
+                        addr_map, bits, regions):
     """Index of the first assignment under which the sample interprets
     correctly *and* every already-solved sample still validates, or
     None.  Pure in all arguments -- the parallel evaluator ships this
-    exact computation to worker processes."""
+    exact computation to worker processes.  *regions* is the caller's
+    :class:`RegionTable`."""
+    region = regions.of(sample)
     for j, assignment in enumerate(assignments):
         trial = dict(sem)
         trial.update(assignment)
-        if not check_sample(sample, trial, addr_map, bits):
+        if not check_sample(sample, trial, addr_map, bits, region):
             continue
         # A revised semantics must still explain every solved sample.
         trial.update({k: v for k, v in extra_effects.items() if k not in trial})
         ok = True
         for solved_sample in solved_samples:
-            solved_keys = set(sample_keys(solved_sample))
-            if not solved_keys <= set(trial):
+            solved_region = regions.of(solved_sample)
+            if not trial.keys() >= solved_region.first.keys():
                 continue
-            if not check_sample(solved_sample, trial, addr_map, bits):
+            if not check_sample(solved_sample, trial, addr_map, bits, solved_region):
                 ok = False
                 break
         if ok:
@@ -518,9 +494,10 @@ class InlineEvaluator:
 
     wave = 32
 
-    def __init__(self, addr_map, bits):
+    def __init__(self, addr_map, bits, regions):
         self.addr_map = addr_map
         self.bits = bits
+        self.regions = regions
 
     def next_wave(self, consumed):
         return self.wave
@@ -528,7 +505,7 @@ class InlineEvaluator:
     def first_passing(self, sample, sem, extra_effects, solved_samples, assignments):
         return first_passing_index(
             sample, sem, extra_effects, solved_samples, assignments,
-            self.addr_map, self.bits,
+            self.addr_map, self.bits, self.regions,
         )
 
 
@@ -583,7 +560,7 @@ class ReverseInterpreter:
 
     def __init__(self, corpus, addr_map, word_bits, graph_roles=None, budget=60000,
                  use_likelihood=True, memo=None, evaluator=None, budget_pool=None,
-                 samples=None, discard_failed=True, prefetch=None):
+                 samples=None, discard_failed=True, prefetch=None, regions=None):
         self.corpus = corpus
         self.addr_map = addr_map
         self.bits = word_bits
@@ -591,7 +568,9 @@ class ReverseInterpreter:
         self.budget = budget
         self.use_likelihood = use_likelihood
         self.memo = memo
-        self.evaluator = evaluator or InlineEvaluator(addr_map, word_bits)
+        #: sample name -> KeyedRegion, shared with the default evaluator
+        self.regions = RegionTable() if regions is None else regions
+        self.evaluator = evaluator or InlineEvaluator(addr_map, word_bits, self.regions)
         self.budget_pool = budget_pool
         self.samples = samples
         self.discard_failed = discard_failed
@@ -669,7 +648,7 @@ class ReverseInterpreter:
     # ------------------------------------------------------------------
 
     def _keys(self, sample):
-        return sample_keys(sample)
+        return self.regions.of(sample).first
 
     def _hypotheses(self, sample, index, role):
         if self.memo is None:
@@ -689,10 +668,10 @@ class ReverseInterpreter:
         return sum(1 for k in self._keys(sample) if k not in result.semantics)
 
     def _first_instance(self, sample, key):
-        for i, instr in enumerate(sample.region):
-            if instr.mnemonic and opkey(instr) == key:
-                return i
-        raise DiscoveryError(f"lost instruction {key}")
+        index = self.regions.of(sample).first.get(key)
+        if index is None:
+            raise DiscoveryError(f"lost instruction {key}")
+        return index
 
     def _solve(self, sample, result, allow_revision=False, validate_solved=True):
         sem = result.effects_map()
@@ -704,7 +683,7 @@ class ReverseInterpreter:
             unknown = [k for k in keys if k not in sem]
         if not unknown:
             result.interpretations_tried += 1
-            ok = check_sample(sample, sem, self.addr_map, self.bits)
+            ok = check_sample(sample, sem, self.addr_map, self.bits, self.regions.of(sample))
             if ok:
                 for key in keys:
                     result.semantics[key].samples.append(sample.name)
@@ -793,8 +772,6 @@ class ReverseInterpreter:
 
 
 def _effects_size(effects):
-    from repro.discovery.terms import term_size
-
     return sum(term_size(term) for _target, term in effects)
 
 

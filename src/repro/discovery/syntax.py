@@ -40,10 +40,17 @@ class LoadImmTemplate:
     arity: int = 2
 
     def instr(self, value, reg, imm_prefix=""):
+        """The instruction, its rendered text formatted straight from
+        the template."""
         operands = [None] * self.arity
         operands[self.imm_index] = DImm(value, imm_prefix)
         operands[self.reg_index] = DReg(reg)
-        return DInstr(self.mnemonic, operands)
+        instr = DInstr(self.mnemonic, operands)
+        texts = [None] * self.arity
+        texts[self.imm_index] = f"{imm_prefix}{value}"
+        texts[self.reg_index] = reg
+        instr.rendered = f"\t{self.mnemonic} {', '.join(texts)}"
+        return instr
 
 
 @dataclass
@@ -148,13 +155,18 @@ class DiscoveredSyntax:
         raise TypeError(f"not a discovery operand: {op!r}")
 
     def render_instr(self, instr):
-        lines = [f"{label}:" for label in instr.labels]
-        if instr.operands:
-            rendered = ", ".join(self.render_operand(op) for op in instr.operands)
-            lines.append(f"\t{instr.mnemonic} {rendered}")
-        else:
-            lines.append(f"\t{instr.mnemonic}")
-        return "\n".join(lines)
+        """The instruction's label lines, then its own line; rendered
+        once per instruction and kept on it (mutants share every
+        instruction they leave unchanged)."""
+        if instr.rendered is None:
+            lines = [f"{label}:" for label in instr.labels]
+            if instr.operands:
+                rendered = ", ".join(self.render_operand(op) for op in instr.operands)
+                lines.append(f"\t{instr.mnemonic} {rendered}")
+            else:
+                lines.append(f"\t{instr.mnemonic}")
+            instr.rendered = "\n".join(lines)
+        return instr.rendered
 
     def render_instrs(self, instrs):
         return "\n".join(self.render_instr(instr) for instr in instrs)

@@ -5,6 +5,8 @@ Full architecture discovery takes a few seconds per target; the
 result, so the per-figure experiment tests stay fast.
 """
 
+import hashlib
+
 import pytest
 
 from repro.machines.machine import RemoteMachine
@@ -12,13 +14,31 @@ from repro.discovery.driver import ArchitectureDiscovery
 
 _CACHE = {}
 
+#: target -> :func:`work_done` of its cached report, taken as the run
+#: ends: tests that drive a report's engine afterwards move its counters
+WORK = {}
+
 TARGETS = ("x86", "mips", "sparc", "alpha", "vax", "m68k")
+
+
+def work_done(report):
+    """The spec's sha256 and the search and mutation work that found it."""
+    mutation = report.engine.stats
+    return {
+        "spec_sha256": hashlib.sha256(report.spec.render_beg().encode()).hexdigest(),
+        "interpretations_tried": report.extraction.interpretations_tried,
+        "budget_spent": report.extraction_stats.budget_spent,
+        "attempted": mutation.attempted,
+        "succeeded": mutation.succeeded,
+        "runs": mutation.runs,
+    }
 
 
 def discovery_report(target):
     if target not in _CACHE:
         machine = RemoteMachine(target)
         _CACHE[target] = ArchitectureDiscovery(machine).run()
+        WORK[target] = work_done(_CACHE[target])
     return _CACHE[target]
 
 

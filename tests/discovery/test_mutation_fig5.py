@@ -55,11 +55,30 @@ class TestStructuralMutations:
         assert [i.mnemonic for i in out] == ["op1", "nop", "op2", "op3"]
 
     def test_mutations_do_not_alias_the_original(self):
+        """Mutants share the instructions they leave unchanged, so no
+        mutation may edit its input list or any instruction in it."""
         original = _instrs()
-        mut.delete(original, 0)
-        mut.rename_all(original, "r1", "r9")
-        assert original[0].operands[0] == DReg("r1")
+        original[2].glued = True
+        members = list(original)
+        fields = [
+            (i.mnemonic, list(i.operands), list(i.labels), i.glued) for i in original
+        ]
+        mutants = [
+            mut.delete(original, 0),
+            mut.delete(original, 1),  # labelled: L9 moves onto op3
+            mut.insert(original, 1, [DInstr("nop", [])]),
+            mut.move(original, 2, 0),
+            mut.copy(original, 1, 2),
+            mut.rename(original, "r1", "r9", [(0, 0), (1, 1)]),
+            mut.rename_all(original, "r1", "r9"),
+        ]
+        assert mutants[1][1].labels == ["L9"]
+        assert all(mutant is not original for mutant in mutants)
         assert len(original) == 3
+        assert all(now is then for now, then in zip(original, members))
+        assert [
+            (i.mnemonic, i.operands, i.labels, i.glued) for i in original
+        ] == fields
 
 
 class TestMutationEngine:

@@ -7,6 +7,9 @@ def/use computation of Figure 9 -- each on the architecture the paper
 used to illustrate it.
 """
 
+from repro.discovery.asmmodel import DImm, DInstr, DReg, DSym
+from repro.discovery.preprocess import Preprocessor
+from repro.discovery.samples import Sample
 from tests.discovery.conftest import sample_named
 
 
@@ -50,6 +53,24 @@ class TestFig4Irregularities:
         sample = sample_named(alpha_report, "int_shl_a_bOPK")
         assert any("addl" in text and ", 0," in text for text in sample.info.removed)
         assert all(i.mnemonic != "addl" for i in sample.region)
+
+
+class TestCallLike:
+    def test_a_symbol_defined_outside_the_region_is_not_external(self, x86_report):
+        """Only a symbol defined nowhere in the file is external code: a
+        jump to the End label is not call-like, even though End is
+        defined outside the region."""
+        sample = Sample(
+            name="synthetic", kind="call", op=None, shape="", statement="",
+            values={}, pre_lines=["main:", "Begin:"], post_lines=["End:", "\tret"],
+            region=[
+                DInstr("jmp", [DSym("End")]),
+                DInstr("call", [DSym("P")]),
+                DInstr("movl", [DImm(1, "$"), DReg("%eax")]),
+            ],
+        )
+        pre = Preprocessor(x86_report.engine)
+        assert pre._find_call_like(sample, pre._outside_labels(sample)) == [1]
 
 
 class TestFig6Redundant:

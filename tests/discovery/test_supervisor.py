@@ -459,11 +459,18 @@ def test_keyboard_interrupt_persists_and_resumes(tmp_path, cachedir, ref_specs):
     assert report.spec.render_beg() + "\n" == ref_specs["vax"]
 
 
-def test_keyboard_interrupt_without_run_dir_lands_in_fallback(tmp_path, cachedir):
+def test_keyboard_interrupt_without_run_dir_lands_in_fallback(
+    tmp_path, cachedir, system_tempdir
+):
     driver = _InterruptsAtFrames(RemoteMachine("vax"), workers=1, cache=cachedir)
     with pytest.raises(KeyboardInterrupt):
         driver.run()
     assert driver.interrupt_run_dir is not None
+    # the fallback is a fresh repro-run-* directory in the temp directory,
+    # which the session points into pytest's own
+    fallback = pathlib.Path(driver.interrupt_run_dir)
+    assert fallback.parent == pathlib.Path(system_tempdir)
+    assert fallback.name.startswith("repro-run-vax-")
     checkpoint, warnings = DurableRun.open(
         driver.interrupt_run_dir
     ).load_checkpoint()

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro import wordops
 from repro.discovery import primitives, terms
-from repro.discovery.reverse_interp import _has_disguised_identity
 
 
 class TestFig14Primitives:
@@ -100,7 +99,7 @@ class TestDisguisedIdentities:
         ],
     )
     def test_rejected(self, term):
-        assert _has_disguised_identity(term)
+        assert terms.TermTable()[term].disguised
 
     @pytest.mark.parametrize(
         "term",
@@ -113,4 +112,4 @@ class TestDisguisedIdentities:
         ],
     )
     def test_accepted(self, term):
-        assert not _has_disguised_identity(term)
+        assert not terms.TermTable()[term].disguised
