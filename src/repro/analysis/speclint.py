@@ -31,7 +31,7 @@ import re
 
 from repro.analysis.diagnostics import DiagnosticSet
 from repro.beg.ir import BINARY_OPS, RELATIONS, UNARY_OPS
-from repro.discovery.asmmodel import DReg, DSym, Slot
+from repro.discovery.asmmodel import DReg, DSym, Slot, template_slots
 from repro.discovery.terms import term_leaves
 
 #: slots a rule template may consume without defining them first
@@ -144,7 +144,7 @@ class _SpecLinter:
             self.add("SPEC004", "no allocatable registers", where="allocatable")
         if spec.branch:
             for relation, rule in sorted(spec.branch.rules.items()):
-                if not _slot_names(rule.instrs) >= {"label"}:
+                if "label" not in template_slots(rule.instrs):
                     self.add(
                         "SPEC004",
                         f"branch rule {relation} has no label slot to jump to",
@@ -198,9 +198,7 @@ class _SpecLinter:
                 all_known = False
                 # Conservatively assume the instruction defines every slot
                 # it mentions, so later reads are not misreported.
-                defined |= {
-                    op.name for op in instr.operands if isinstance(op, Slot)
-                }
+                defined |= template_slots([instr])
                 continue
             uses, defs, ireg_reads, ireg_writes = profile
             for k in sorted(uses):
@@ -616,15 +614,6 @@ def _def_use(effects):
             elif leaf[0] == "ireg":
                 ireg_reads.add(leaf[1])
     return uses, defs, ireg_reads, ireg_writes
-
-
-def _slot_names(instrs):
-    return {
-        op.name
-        for instr in instrs
-        for op in instr.operands
-        if isinstance(op, Slot)
-    }
 
 
 def _cost(rule):

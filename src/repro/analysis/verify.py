@@ -7,10 +7,11 @@ machine model -- the ISA's own instruction semantics via
 ``Isa.symbolic_step`` -- never against discovery internals, so a bug in
 the probing pipeline cannot vouch for itself.
 
-Per rule the obligation is: bind the template exactly as the generated
-back end would (mirroring :mod:`repro.beg.codegen`), execute it over
-fresh symbolic registers, and compare the result term against the IR
-reference semantics.  Structural equality of normalised terms proves the
+Per rule the obligation is: bind the template with the generated back
+end's own binding (:func:`repro.beg.codegen.bind_rule` and
+:func:`~repro.beg.codegen.bind_branch`), execute it over fresh symbolic
+registers, and compare the result term against the IR reference
+semantics.  Structural equality of normalised terms proves the
 rule for *all* inputs; otherwise a deterministic, simplest-first concrete
 battery hunts for a counterexample, reported as a SPEC10x diagnostic
 carrying the minimal witness (input valuation, expected vs. got).
@@ -35,8 +36,23 @@ from repro.analysis.symexec import (
     ranked_product,
     term_vars,
 )
+from repro.beg.codegen import (
+    BackendError,
+    RegisterClasses,
+    bind_branch,
+    bind_rule,
+    take_register,
+)
 from repro.beg.ir import UNARY_OPS
-from repro.discovery.asmmodel import DImm, DMem, DReg, DSym, Slot, instantiate
+from repro.discovery.asmmodel import (
+    DImm,
+    DMem,
+    DReg,
+    DSym,
+    Slot,
+    instantiate,
+    template_slots,
+)
 from repro.errors import ExecutionError
 from repro.machines.executor import BUILTIN_BASE, ExecState, Memory
 from repro.machines.operands import Imm, Lab, Mem, Reg
@@ -101,8 +117,13 @@ _RELATIONS = {
 
 
 class _Unverifiable(Exception):
-    """The obligation cannot even be posed: the template does not bind or
+    """The obligation cannot even be posed: the template does not
     resolve against the machine model (-> SPEC104)."""
+
+
+#: why an obligation cannot be posed (-> SPEC104): the back end cannot
+#: bind the template, or the bound template does not lower
+_UNPOSABLE = (BackendError, _Unverifiable)
 
 
 @dataclass
@@ -111,131 +132,6 @@ class VerifyResult:
 
     diagnostics: DiagnosticSet = field(default_factory=DiagnosticSet)
     stats: dict = field(default_factory=dict)
-
-
-# -- binding: mirror of the generated back end's register allocation ----
-
-
-def _as_set(values):
-    return set(values) if values else None
-
-
-def _intersect(*sets):
-    live = [s for s in sets if s is not None]
-    if not live:
-        return None
-    out = set(live[0])
-    for s in live[1:]:
-        out &= s
-    return out
-
-
-def _alloc(pool, *constraints):
-    allowed = _intersect(*constraints)
-    for i, reg in enumerate(pool):
-        if allowed is None or reg in allowed:
-            return pool.pop(i)
-    raise _Unverifiable("out of allocatable registers while binding the template")
-
-
-@dataclass
-class _Binding:
-    """How one rule application maps slots onto machine resources."""
-
-    mapping: dict  # slot name -> discovery operand
-    input_regs: dict  # "left"/"right" -> register name
-    result_reg: str | None
-    result_literal: str | None
-    has_imm: bool
-
-
-def _rule_binding(rule, spec, imm_value=None):
-    """Bind *rule*'s slots to registers exactly as codegen._apply_rule
-    would, so the verifier checks the very instantiation the generated
-    back end emits."""
-    pool = list(spec.allocatable)
-    mapping = {}
-    slots_used = rule.slots_used()
-    classes = getattr(rule, "slot_classes", None) or {}
-    load_dest = _as_set(spec.load_dest_class)
-    store_src = _as_set(spec.store_src_class)
-
-    def slot_class(name):
-        allowed = classes.get(name)
-        return set(allowed) if allowed else None
-
-    two_address = getattr(rule, "two_address", False)
-    input_regs = {}
-    if "result" in slots_used or two_address:
-        constraints = [slot_class("result"), store_src]
-        if two_address:
-            constraints += [slot_class("left"), load_dest]
-        result_reg = _alloc(pool, *constraints)
-    else:
-        result_reg = None
-    if "left" in slots_used or two_address:
-        if two_address:
-            left_reg = result_reg
-        else:
-            left_reg = _alloc(pool, slot_class("left"), load_dest)
-        input_regs["left"] = left_reg
-        mapping["left"] = DReg(left_reg)
-    if "right" in slots_used and imm_value is None:
-        right_reg = _alloc(pool, slot_class("right"), load_dest)
-        input_regs["right"] = right_reg
-        mapping["right"] = DReg(right_reg)
-    if imm_value is not None:
-        mapping["imm"] = DImm(imm_value) if isinstance(imm_value, int) else imm_value
-    for name in sorted(slots_used):
-        if name.startswith("scratch"):
-            mapping[name] = DReg(_alloc(pool, slot_class(name)))
-    if result_reg is not None:
-        mapping["result"] = DReg(result_reg)
-    result_literal = getattr(rule, "result_literal", None) or None
-    return _Binding(
-        mapping=mapping,
-        input_regs=input_regs,
-        result_reg=result_reg,
-        result_literal=result_literal,
-        has_imm=imm_value is not None,
-    )
-
-
-def _branch_binding(rule, spec, label_index):
-    """Mirror of codegen's Branch statement path."""
-    pool = list(spec.allocatable)
-    classes = getattr(rule, "slot_classes", None) or {}
-    load_dest = _as_set(spec.load_dest_class)
-
-    def slot_class(name):
-        allowed = classes.get(name)
-        return set(allowed) if allowed else None
-
-    slots_used = set()
-    for instr in rule.instrs:
-        for op in instr.operands:
-            if isinstance(op, Slot):
-                slots_used.add(op.name)
-    left_reg = _alloc(pool, slot_class("left"), load_dest)
-    right_reg = _alloc(pool, slot_class("right"), load_dest)
-    mapping = {
-        "left": DReg(left_reg),
-        "right": DReg(right_reg),
-        "label": Lab(label_index),
-    }
-    for name in sorted(slots_used):
-        if name.startswith("scratch"):
-            mapping[name] = DReg(_alloc(pool, slot_class(name)))
-    input_regs = {"left": left_reg}
-    if "right" in slots_used:
-        input_regs["right"] = right_reg
-    return _Binding(
-        mapping=mapping,
-        input_regs=input_regs,
-        result_reg=None,
-        result_literal=None,
-        has_imm=False,
-    )
 
 
 # -- lowering template instructions onto the machine model --------------
@@ -403,6 +299,7 @@ class _Verifier:
             "unverifiable": 0,
             "obligations": 0,
         }
+        self.registers = RegisterClasses(spec)
         _, self.frame_bases = _mem_slot(spec)
         # Registers whose concrete value carries addressing state: never
         # replace them with junk or symbolic noise.
@@ -466,9 +363,9 @@ class _Verifier:
             self.stats["unverifiable"] += 1
             return
         try:
-            binding = _rule_binding(rule, self.spec)
+            binding = bind_rule(rule, self.registers, right=not unary)
             lowered = _lower(rule.instrs, binding.mapping, self.builtin_ids)
-        except _Unverifiable as exc:
+        except _UNPOSABLE as exc:
             self._add("SPEC104", f"{where}: {exc}", where)
             self.stats["unverifiable"] += 1
             return
@@ -495,9 +392,9 @@ class _Verifier:
         # well-defined on congruence classes, so both sides agree.
         imm_sym = fresh("imm")
         try:
-            binding = _rule_binding(rule, self.spec, imm_value=Imm(imm_sym))
+            binding = bind_rule(rule, self.registers, imm=Imm(imm_sym))
             lowered = _lower(rule.instrs, binding.mapping, self.builtin_ids)
-        except _Unverifiable as exc:
+        except _UNPOSABLE as exc:
             self._add("SPEC104", f"{where}: {exc}", where)
             self.stats["unverifiable"] += 1
             return
@@ -638,10 +535,9 @@ class _Verifier:
         for name, reg in binding.input_regs.items():
             state.set_reg(reg, sym_inputs[name])
         _sym_run(self.isa, lowered, state)
-        out_reg = binding.result_literal or binding.result_reg
-        if out_reg is None:
+        if binding.out_reg is None:
             raise SymbolicEscape("rule declares no result register")
-        return state.get_reg(out_reg)
+        return state.get_reg(binding.out_reg)
 
     def _concrete_result(self, binding, lowered, env, fill):
         state = _make_state(self.isa, self.frame_bases, symbolic=False)
@@ -652,26 +548,21 @@ class _Verifier:
             state.set_reg(reg, wordops.mask(env[name], self.bits))
         concrete = _substitute_imm(lowered, env)
         _run_template(self.isa, self.runtime, concrete, state, stop_index=None)
-        out_reg = binding.result_literal or binding.result_reg
-        if out_reg is None:
+        if binding.out_reg is None:
             raise ExecutionError("rule declares no result register")
-        return state.get_reg(out_reg)
+        return state.get_reg(binding.out_reg)
 
     # -- data-movement templates ---------------------------------------
 
     def _verify_moves(self):
         spec = self.spec
         slot_mem, _ = _mem_slot(spec)
-        pool = list(spec.allocatable)
-        load_dest = _as_set(spec.load_dest_class)
-        store_src = _as_set(spec.store_src_class)
         if spec.load_template and slot_mem is not None:
             self._verify_move(
                 "load_template",
                 spec.load_template,
                 lambda reg: {"slot": slot_mem, "dest": DReg(reg)},
-                reg_class=load_dest,
-                pool=list(pool),
+                reg_class=self.registers.load_dest,
                 seed_memory=slot_mem,
                 observe="register",
             )
@@ -680,27 +571,24 @@ class _Verifier:
                 "store_template",
                 spec.store_template,
                 lambda reg: {"src": DReg(reg), "slot": slot_mem},
-                reg_class=store_src,
-                pool=list(pool),
+                reg_class=self.registers.store_src,
                 seed_memory=None,
                 observe=slot_mem,
             )
         if spec.reg_move:
-            self._verify_reg_move(spec.reg_move, load_dest, store_src, list(pool))
+            self._verify_reg_move(spec.reg_move)
 
     def _slot_addr(self, slot_mem):
         return self.isa.stack_start + slot_mem.disp
 
-    def _verify_move(
-        self, where, template, make_mapping, reg_class, pool, seed_memory, observe
-    ):
+    def _verify_move(self, where, template, make_mapping, reg_class, seed_memory, observe):
         """Check a load or store template moves the value unchanged."""
         self.stats["obligations"] += 1
         try:
-            reg = _alloc(pool, reg_class)
+            reg = take_register(self.registers.pool(), reg_class)
             mapping = make_mapping(reg)
             lowered = _lower(template, mapping, self.builtin_ids)
-        except _Unverifiable as exc:
+        except _UNPOSABLE as exc:
             self._add("SPEC104", f"{where}: {exc}", where)
             self.stats["unverifiable"] += 1
             return
@@ -763,15 +651,16 @@ class _Verifier:
         self.stats["sampled"] += 1
         self._add("SPEC105", f"{where}: verified by concrete sampling only", where)
 
-    def _verify_reg_move(self, template, load_dest, store_src, pool):
+    def _verify_reg_move(self, template):
         self.stats["obligations"] += 1
         where = "reg_move"
         try:
-            src = _alloc(pool, store_src)
-            dest = _alloc(pool, load_dest)
+            pool = self.registers.pool()
+            src = take_register(pool, self.registers.store_src)
+            dest = take_register(pool, self.registers.load_dest)
             mapping = {"src": DReg(src), "dest": DReg(dest)}
             lowered = _lower(template, mapping, self.builtin_ids)
-        except _Unverifiable as exc:
+        except _UNPOSABLE as exc:
             self._add("SPEC104", f"{where}: {exc}", where)
             self.stats["unverifiable"] += 1
             return
@@ -828,14 +717,13 @@ class _Verifier:
             self._add("SPEC104", f"{where}: unknown relation {relation!r}", where)
             self.stats["unverifiable"] += 1
             return
-        sentinel = None
         try:
-            binding, lowered, sentinel = self._branch_lowered(rule)
-        except _Unverifiable as exc:
+            inputs, lowered, sentinel = self._branch_lowered(rule)
+        except _UNPOSABLE as exc:
             self._add("SPEC104", f"{where}: {exc}", where)
             self.stats["unverifiable"] += 1
             return
-        has_right = "right" in binding.input_regs
+        has_right = "right" in inputs
         left_values = self._candidates(where, "left")
         right_values = self._candidates(where, "right") if has_right else [0]
         for a, b in ranked_product([left_values, right_values], limit=SAMPLE_LIMIT):
@@ -845,14 +733,12 @@ class _Verifier:
             outcomes = []
             for fill in (0, 1):
                 state = _make_state(self.isa, self.frame_bases, symbolic=False)
-                skip = set(binding.input_regs.values()) | self.preserve
+                skip = set(inputs.values()) | self.preserve
                 for junk, jv in _junk_fill(self.spec, self.isa, skip, fill).items():
                     state.set_reg(junk, jv)
-                state.set_reg(binding.input_regs["left"], wordops.mask(a, self.bits))
+                state.set_reg(inputs["left"], wordops.mask(a, self.bits))
                 if has_right:
-                    state.set_reg(
-                        binding.input_regs["right"], wordops.mask(b, self.bits)
-                    )
+                    state.set_reg(inputs["right"], wordops.mask(b, self.bits))
                 try:
                     end = _run_template(
                         self.isa, self.runtime, lowered, state, sentinel
@@ -884,10 +770,16 @@ class _Verifier:
         self.stats["proven"] += 1
 
     def _branch_lowered(self, rule):
+        """The back end's binding of a branch rule, lowered, with a
+        sentinel label index.  Returns the input registers the battery
+        sets: ``right`` only where the template names it."""
         sentinel = len(rule.instrs) + 64
-        binding = _branch_binding(rule, self.spec, sentinel)
+        binding = bind_branch(rule, self.registers, Lab(sentinel))
         lowered = _lower(rule.instrs, binding.mapping, self.builtin_ids)
-        return binding, lowered, sentinel
+        inputs = dict(binding.input_regs)
+        if "right" not in template_slots(rule.instrs):
+            del inputs["right"]
+        return inputs, lowered, sentinel
 
 
 def _substitute_imm(lowered, env):
@@ -997,8 +889,11 @@ def _diff_rule(diagnostics, va, vb, ir_op, rule_a, rule_b, where, label_a, label
 
     def prepare(verifier, rule):
         imm_sym = fresh("imm") if imm else None
-        binding = _rule_binding(
-            rule, verifier.spec, imm_value=Imm(imm_sym) if imm else None
+        binding = bind_rule(
+            rule,
+            verifier.registers,
+            right=not (unary or imm),
+            imm=Imm(imm_sym) if imm else None,
         )
         lowered = _lower(rule.instrs, binding.mapping, verifier.builtin_ids)
         return binding, lowered, imm_sym
@@ -1006,7 +901,7 @@ def _diff_rule(diagnostics, va, vb, ir_op, rule_a, rule_b, where, label_a, label
     try:
         binding_a, lowered_a, imm_a = prepare(va, rule_a)
         binding_b, lowered_b, imm_b = prepare(vb, rule_b)
-    except _Unverifiable as exc:
+    except _UNPOSABLE as exc:
         diagnostics.add(
             "SPEC104",
             f"{where}: cannot pose the differential obligation: {exc}",
@@ -1077,9 +972,9 @@ def _diff_branch(diagnostics, va, vb, relation, rule_a, rule_b, label_a, label_b
     where = f"branch[{relation}]"
     bits = va.bits
     try:
-        binding_a, lowered_a, sentinel_a = va._branch_lowered(rule_a)
-        binding_b, lowered_b, sentinel_b = vb._branch_lowered(rule_b)
-    except _Unverifiable as exc:
+        inputs_a, lowered_a, sentinel_a = va._branch_lowered(rule_a)
+        inputs_b, lowered_b, sentinel_b = vb._branch_lowered(rule_b)
+    except _UNPOSABLE as exc:
         diagnostics.add(
             "SPEC104",
             f"{where}: cannot pose the differential obligation: {exc}",
@@ -1091,17 +986,17 @@ def _diff_branch(diagnostics, va, vb, relation, rule_a, rule_b, label_a, label_b
     right_values = va._candidates(where, "right")
     for a, b in ranked_product([left_values, right_values], limit=SAMPLE_LIMIT):
         outcomes = []
-        for verifier, binding, lowered, sentinel in (
-            (va, binding_a, lowered_a, sentinel_a),
-            (vb, binding_b, lowered_b, sentinel_b),
+        for verifier, inputs, lowered, sentinel in (
+            (va, inputs_a, lowered_a, sentinel_a),
+            (vb, inputs_b, lowered_b, sentinel_b),
         ):
             state = _make_state(verifier.isa, verifier.frame_bases, symbolic=False)
-            skip = set(binding.input_regs.values()) | verifier.preserve
+            skip = set(inputs.values()) | verifier.preserve
             for junk, jv in _junk_fill(verifier.spec, verifier.isa, skip, 0).items():
                 state.set_reg(junk, jv)
-            state.set_reg(binding.input_regs["left"], wordops.mask(a, bits))
-            if "right" in binding.input_regs:
-                state.set_reg(binding.input_regs["right"], wordops.mask(b, bits))
+            state.set_reg(inputs["left"], wordops.mask(a, bits))
+            if "right" in inputs:
+                state.set_reg(inputs["right"], wordops.mask(b, bits))
             try:
                 end = _run_template(
                     verifier.isa, verifier.runtime, lowered, state, sentinel

@@ -10,6 +10,8 @@ values.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.beg.ir import (
     Assign,
     BinOp,
@@ -23,7 +25,7 @@ from repro.beg.ir import (
     RELATIONS,
     UnOp,
 )
-from repro.discovery.asmmodel import DImm, DReg, DSym, instantiate
+from repro.discovery.asmmodel import DImm, DInstr, DReg, DSym, instantiate, template_slots
 from repro.errors import ReproError
 
 
@@ -39,15 +41,11 @@ class GeneratedBackend:
         self.syntax = spec.syntax
         if spec.frame is None or not spec.frame.slots:
             raise BackendError("machine description has no frame model")
+        self.slots = spec.frame.slots
         # The last frame slot is reserved for the print idiom.
-        self.print_slot = spec.frame.slots[-1]
-        self.max_slots = len(spec.frame.slots) - 1
-        # Probed register classes; None means unconstrained.
-        self._load_dest = _as_set(spec.load_dest_class)
-        self._store_src = _as_set(spec.store_src_class)
-        self._loadimm = _as_set(spec.loadimm_class)
-        #: class for a general value register (loadable and storable)
-        self._value_class = _intersect(self._load_dest, self._store_src)
+        self.print_slot = self.slots[-1]
+        self.max_slots = len(self.slots) - 1
+        self.registers = RegisterClasses(spec)
 
     # ------------------------------------------------------------------
 
@@ -81,29 +79,13 @@ class GeneratedBackend:
             self._label_map[name] = f"T{len(self._label_map)}_{name}"
         return self._label_map[name]
 
-    def _slot_mem(self, index):
-        return self.spec.frame.slots[index]
-
-    # -- registers ----------------------------------------------------------
-
-    def _fresh_pool(self):
-        return list(self.spec.allocatable)
-
-    def _alloc(self, pool, *constraints):
-        """Take a register satisfying every (non-None) class constraint."""
-        allowed = _intersect(*constraints)
-        for i, reg in enumerate(pool):
-            if allowed is None or reg in allowed:
-                return pool.pop(i)
-        raise BackendError("out of allocatable registers in a rule")
-
     # -- values --------------------------------------------------------------
 
     def _load(self, slot_index, reg):
         self._emit(
             instantiate(
                 self.spec.load_template,
-                {"slot": self._slot_mem(slot_index), "dest": DReg(reg)},
+                {"slot": self.slots[slot_index], "dest": DReg(reg)},
             )
         )
 
@@ -111,7 +93,7 @@ class GeneratedBackend:
         self._emit(
             instantiate(
                 self.spec.store_template,
-                {"src": DReg(reg), "slot": self._slot_mem(slot_index)},
+                {"src": DReg(reg), "slot": self.slots[slot_index]},
             )
         )
 
@@ -123,9 +105,6 @@ class GeneratedBackend:
     def _load_imm(self, value, reg):
         self._emit([self.syntax.load_imm_instr(value, reg)])
 
-    def _reg_move(self, src, dest):
-        self._emit(instantiate(self.spec.reg_move, {"src": DReg(src), "dest": DReg(dest)}))
-
     # -- expressions -------------------------------------------------------------
 
     def _gen_expr(self, expr, temps):
@@ -133,8 +112,8 @@ class GeneratedBackend:
         if isinstance(expr, Local):
             return expr.index
         if isinstance(expr, Const):
-            pool = self._fresh_pool()
-            reg = self._alloc(pool, self._loadimm, self._store_src)
+            registers = self.registers
+            reg = take_register(registers.pool(), registers.loadimm, registers.store_src)
             self._load_imm(expr.value, reg)
             slot = temps.take()
             self._store(reg, slot)
@@ -166,50 +145,22 @@ class GeneratedBackend:
         raise BackendError(f"cannot generate IR expression {expr!r}")
 
     def _apply_rule(self, rule, left_slot, right_slot, temps, imm=None):
-        pool = self._fresh_pool()
-        mapping = {}
-        slots_used = rule.slots_used()
-        classes = rule.slot_classes
-
-        def slot_class(name):
-            allowed = classes.get(name)
-            return set(allowed) if allowed else None
-
-        two_address = getattr(rule, "two_address", False)
-        if "result" in slots_used or two_address:
-            constraints = [slot_class("result"), self._store_src]
-            if two_address:
-                constraints += [slot_class("left"), self._load_dest]
-            result_reg = self._alloc(pool, *constraints)
-        else:
-            result_reg = None
-        if "left" in slots_used or two_address:
-            if two_address:
-                left_reg = result_reg
-            else:
-                left_reg = self._alloc(pool, slot_class("left"), self._load_dest)
-            self._load(left_slot, left_reg)
-            mapping["left"] = DReg(left_reg)
-        if "right" in slots_used and right_slot is not None:
-            right_reg = self._alloc(pool, slot_class("right"), self._load_dest)
-            self._load(right_slot, right_reg)
-            mapping["right"] = DReg(right_reg)
-        if imm is not None:
-            mapping["imm"] = DImm(imm, self.syntax.imm_prefix)
-        for name in sorted(slots_used):
-            if name.startswith("scratch"):
-                mapping[name] = DReg(self._alloc(pool, slot_class(name)))
-        if result_reg is not None:
-            mapping["result"] = DReg(result_reg)
-        self._emit(instantiate(rule.instrs, mapping))
+        binding = bind_rule(
+            rule,
+            self.registers,
+            right=right_slot is not None,
+            imm=None if imm is None else DImm(imm, self.syntax.imm_prefix),
+        )
+        inputs = binding.input_regs
+        if "left" in inputs:
+            self._load(left_slot, inputs["left"])
+        if "right" in inputs:
+            self._load(right_slot, inputs["right"])
+        self._emit(instantiate(rule.instrs, binding.mapping))
         out_slot = temps.take()
-        result_literal = getattr(rule, "result_literal", None)
-        if result_literal:
-            self._store(result_literal, out_slot)
-        elif result_reg is not None:
-            self._store(result_reg, out_slot)
-        else:
+        if binding.out_reg is None:
             raise BackendError(f"rule {rule.ir_op} produces no result")
+        self._store(binding.out_reg, out_slot)
         return out_slot
 
     # -- statements -----------------------------------------------------------------
@@ -219,8 +170,7 @@ class GeneratedBackend:
         if isinstance(stmt, Assign):
             slot = self._gen_expr(stmt.value, temps)
             if slot != stmt.target.index:
-                pool = self._fresh_pool()
-                reg = self._alloc(pool, self._value_class)
+                reg = take_register(self.registers.pool(), self.registers.value)
                 self._load(slot, reg)
                 self._store(reg, stmt.target.index)
         elif isinstance(stmt, Branch):
@@ -230,38 +180,21 @@ class GeneratedBackend:
                 raise BackendError(f"no branch rule for {stmt.op}")
             left_slot = self._gen_expr(stmt.left, temps)
             right_slot = self._gen_expr(stmt.right, temps)
-            pool = self._fresh_pool()
-            classes = rule.slot_classes
-
-            def slot_class(name):
-                allowed = classes.get(name)
-                return set(allowed) if allowed else None
-
-            left_reg = self._alloc(pool, slot_class("left"), self._load_dest)
-            right_reg = self._alloc(pool, slot_class("right"), self._load_dest)
-            self._load(left_slot, left_reg)
-            self._load(right_slot, right_reg)
-            mapping = {
-                "left": DReg(left_reg),
-                "right": DReg(right_reg),
-                "label": DSym(self._ir_label(stmt.label)),
-            }
-            for name in sorted(rule_slots(rule)):
-                if name.startswith("scratch"):
-                    mapping[name] = DReg(self._alloc(pool, slot_class(name)))
-            self._emit(instantiate(rule.instrs, mapping))
+            binding = bind_branch(
+                rule, self.registers, DSym(self._ir_label(stmt.label))
+            )
+            self._load(left_slot, binding.input_regs["left"])
+            self._load(right_slot, binding.input_regs["right"])
+            self._emit(instantiate(rule.instrs, binding.mapping))
         elif isinstance(stmt, Jump):
             if not self.spec.branch or not self.spec.branch.uncond:
                 raise BackendError("no unconditional jump discovered")
-            from repro.discovery.asmmodel import DInstr
-
             self._emit([DInstr(self.spec.branch.uncond, [DSym(self._ir_label(stmt.label))])])
         elif isinstance(stmt, Label):
             self._emit_label(stmt.name)
         elif isinstance(stmt, Print):
             slot = self._gen_expr(stmt.value, temps)
-            pool = self._fresh_pool()
-            reg = self._alloc(pool, self._value_class)
+            reg = take_register(self.registers.pool(), self.registers.value)
             self._load(slot, reg)
             self._store_to_mem(reg, self.print_slot)
             self._emit(
@@ -275,29 +208,124 @@ class GeneratedBackend:
             raise BackendError(f"cannot generate IR statement {stmt!r}")
 
 
+# -- binding: the one place a template's slots get their operands ------
+
+
+class RegisterClasses:
+    """The registers a rule application may take: the allocatable pool
+    in order and the probed move classes as sets (None: unconstrained),
+    worked out once per spec."""
+
+    def __init__(self, spec):
+        self.allocatable = tuple(spec.allocatable)
+        self.load_dest = _as_set(spec.load_dest_class)
+        self.store_src = _as_set(spec.store_src_class)
+        self.loadimm = _as_set(spec.loadimm_class)
+        #: class for a general value register (loadable and storable)
+        self.value = _intersect(self.load_dest, self.store_src)
+
+    def pool(self):
+        """A fresh pool: registers live only inside one application."""
+        return list(self.allocatable)
+
+
+@dataclass
+class Binding:
+    """One application of a template: the operand each slot gets, the
+    registers the caller loads the inputs into, and the register that
+    holds the application's value afterwards (None: no result)."""
+
+    mapping: dict  # slot name -> operand
+    input_regs: dict  # "left"/"right" -> register
+    out_reg: str | None = None
+
+
+def take_register(pool, *classes):
+    """Take the first register of *pool* in every (non-None) class."""
+    allowed = _intersect(*classes)
+    for i, reg in enumerate(pool):
+        if allowed is None or reg in allowed:
+            return pool.pop(i)
+    raise BackendError("out of allocatable registers in a rule")
+
+
+def bind_rule(rule, registers, right=False, imm=None):
+    """Bind an operator rule's slots for one application.
+
+    ``right`` says the rule is applied to a right operand register;
+    ``imm`` is the operand the caller supplies for ``<imm>``.  Raises
+    :class:`BackendError` when a slot the template names stays unbound.
+    """
+    pool = registers.pool()
+    slots = rule.slots_used()
+    two_address = getattr(rule, "two_address", False)
+    inputs = {}
+    result_reg = None
+    if "result" in slots or two_address:
+        constraints = [_slot_class(rule, "result"), registers.store_src]
+        if two_address:
+            constraints += [_slot_class(rule, "left"), registers.load_dest]
+        result_reg = take_register(pool, *constraints)
+    if two_address:
+        inputs["left"] = result_reg
+    elif "left" in slots:
+        inputs["left"] = take_register(pool, _slot_class(rule, "left"), registers.load_dest)
+    if right and "right" in slots:
+        inputs["right"] = take_register(pool, _slot_class(rule, "right"), registers.load_dest)
+    mapping = {name: DReg(reg) for name, reg in inputs.items()}
+    if imm is not None:
+        mapping["imm"] = imm
+    _bind_scratches(rule, slots, pool, mapping)
+    if result_reg is not None:
+        mapping["result"] = DReg(result_reg)
+    _check_bound(slots, mapping)
+    return Binding(mapping, inputs, getattr(rule, "result_literal", None) or result_reg)
+
+
+def bind_branch(rule, registers, label):
+    """Bind a branch rule's slots: the two operand registers the back
+    end loads, the caller's *label* operand and any scratch registers."""
+    pool = registers.pool()
+    inputs = {
+        name: take_register(pool, _slot_class(rule, name), registers.load_dest)
+        for name in ("left", "right")
+    }
+    mapping = {name: DReg(reg) for name, reg in inputs.items()}
+    mapping["label"] = label
+    slots = template_slots(rule.instrs)
+    _bind_scratches(rule, slots, pool, mapping)
+    _check_bound(slots, mapping)
+    return Binding(mapping, inputs)
+
+
+def _slot_class(rule, name):
+    return rule.slot_classes.get(name) or None
+
+
+def _bind_scratches(rule, slots, pool, mapping):
+    for name in sorted(slots):
+        if name.startswith("scratch"):
+            mapping[name] = DReg(take_register(pool, _slot_class(rule, name)))
+
+
+def _check_bound(slots, mapping):
+    if not mapping.keys() >= slots:
+        unbound = min(slots - mapping.keys())
+        raise BackendError(f"unbound template slot {unbound!r}")
+
+
 def _as_set(values):
     return set(values) if values else None
 
 
-def _intersect(*sets):
-    live = [s for s in sets if s is not None]
+def _intersect(*classes):
+    live = [c for c in classes if c is not None]
     if not live:
         return None
     out = set(live[0])
-    for s in live[1:]:
-        out &= s
+    for c in live[1:]:
+        out.intersection_update(c)
     return out
-
-
-def rule_slots(rule):
-    from repro.discovery.asmmodel import Slot
-
-    names = set()
-    for instr in rule.instrs:
-        for op in instr.operands:
-            if isinstance(op, Slot):
-                names.add(op.name)
-    return names
 
 
 def _imm_fits(rule, value):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.discovery.asmmodel import Slot
+from repro.discovery.asmmodel import Slot, template_slots
 
 
 @dataclass
@@ -44,12 +44,7 @@ class OpRule:
     cost_bias: int = 0
 
     def slots_used(self):
-        names = set()
-        for instr in self.instrs:
-            for op in instr.operands:
-                if isinstance(op, Slot):
-                    names.add(op.name)
-        return names
+        return template_slots(self.instrs)
 
 
 @dataclass

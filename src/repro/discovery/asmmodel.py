@@ -106,6 +106,16 @@ class Slot:
         return ("slot", self.name)
 
 
+def template_slots(template_instrs):
+    """The names of the Slot operands in a template."""
+    return {
+        op.name
+        for instr in template_instrs
+        for op in instr.operands
+        if isinstance(op, Slot)
+    }
+
+
 def instantiate(template_instrs, mapping):
     """Replace Slot operands using *mapping*; returns fresh DInstrs."""
     out = []

@@ -400,9 +400,6 @@ class ArchitectureDiscovery:
                     # results are already merged, so the checkpoint's
                     # report holds no in-flight work, and the cache has
                     # every answer that came back (write-through).
-                    state["scheduler"] = self.scheduler.stats.copy()
-                    if self.cache is not None:
-                        state["cache"] = self.cache.describe()
                     checkpoint = self._checkpoint()
                     path = self._persist_interrupt(checkpoint)
                     raise DiscoveryInterrupted(

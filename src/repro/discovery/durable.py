@@ -60,7 +60,6 @@ import json
 import os
 import pathlib
 import tempfile
-from contextlib import contextmanager
 
 from repro.discovery import portable
 from repro.errors import DiscoveryError
@@ -158,42 +157,19 @@ def machine_from_config(config):
 # -- checkpoint serialisation ------------------------------------------
 
 
-@contextmanager
-def detach_runtime(checkpoint):
-    """Temporarily strip live target connections from a checkpoint
-    before serialising; restores them before returning control (the
-    driver keeps using the same objects after a commit).  The portable
-    codec also excludes these fields by registry policy -- this guard
-    keeps the invariant visible at the call site and covers any future
-    payload that aliases the corpus connection."""
-    corpus = checkpoint.report.corpus
-    if corpus is None:
-        yield checkpoint
-        return
-    saved_machine = corpus.machine
-    saved_cache = corpus._init_cache
-    corpus.machine = None
-    corpus._init_cache = {}
-    try:
-        yield checkpoint
-    finally:
-        corpus.machine = saved_machine
-        corpus._init_cache = saved_cache
-
-
 def freeze_body(checkpoint):
     """The portable payload bytes of a checkpoint -- deterministic, so
     equal checkpoints freeze to equal bytes on every build (this is
-    what the lease-hygiene tests hash)."""
-    with detach_runtime(checkpoint):
-        return portable.dumps(
-            {
-                "target": checkpoint.target,
-                "completed": list(checkpoint.completed),
-                "state": checkpoint.state,
-                "report": checkpoint.report,
-            }
-        )
+    what the lease-hygiene tests hash).  The codec leaves the corpus's
+    live connection and its assembled init objects out."""
+    return portable.dumps(
+        {
+            "target": checkpoint.target,
+            "completed": list(checkpoint.completed),
+            "state": checkpoint.state,
+            "report": checkpoint.report,
+        }
+    )
 
 
 def freeze_checkpoint(checkpoint):

@@ -20,9 +20,9 @@ import random
 from repro import wordops
 from repro.beg.spec import MachineSpec, OpRule
 from repro.discovery import probe
-from repro.discovery.asmmodel import DImm, DMem, DReg, Slot, instantiate
+from repro.discovery.asmmodel import DImm, DMem, DReg, DSym, Slot, instantiate, template_slots
 from repro.discovery.reverse_interp import interpret_region, opkey
-from repro.errors import DiscoveryError
+from repro.errors import AssemblerError, DiscoveryError, LinkerError
 
 _IR_OF_C = {
     "+": "Plus",
@@ -114,31 +114,16 @@ class Synthesizer:
 
         if spec.branch:
             for rule in spec.branch.rules.values():
-                slots = {
-                    op.name
-                    for instr in rule.instrs
-                    for op in instr.operands
-                    if isinstance(op, Slot)
-                }
-                baseline = self._baseline_assignment(rule.instrs, slots)
-                if baseline is not None:
-                    rule.slot_classes = restrict(
-                        self._slot_classes(rule.instrs, slots, baseline)
-                    )
+                classes = self._template_classes(rule.instrs)
+                if classes is not None:
+                    rule.slot_classes = restrict(classes)
         for templates, attr, slot in (
             (spec.load_template, "load_dest_class", "dest"),
             (spec.store_template, "store_src_class", "src"),
         ):
-            slots = {
-                op.name
-                for instr in templates
-                for op in instr.operands
-                if isinstance(op, Slot)
-            }
-            baseline = self._baseline_assignment_with_mem(templates, slots)
-            if baseline is None:
+            classes = self._template_classes(templates)
+            if classes is None:
                 continue
-            classes = self._slot_classes_with_mem(templates, slots, baseline)
             allowed = [r for r in classes.get(slot, []) if r in allocatable]
             setattr(spec, attr, allowed or None)
         loadimm_ok = [
@@ -153,40 +138,6 @@ class Synthesizer:
         for rule in list(spec.rules.values()) + list(spec.imm_rules.values()):
             if rule.slot_classes:
                 rule.slot_classes = restrict(rule.slot_classes)
-
-    def _baseline_assignment_with_mem(self, templates, slots, rotations=8):
-        """Like _baseline_assignment, but 'slot' placeholders get a frame
-        memory operand (load/store templates)."""
-        pool = self._register_pool()
-        if not pool:
-            return None
-        mem = DMem(*self.addr_map.slots["a"])
-        for offset in range(min(len(pool), rotations)):
-            mapping = {"slot": mem}
-            index = offset
-            for name in sorted(slots):
-                if name == "slot":
-                    continue
-                mapping[name] = DReg(pool[index % len(pool)])
-                index += 1
-            if self._assembles_instantiated(templates, mapping):
-                return mapping
-        return None
-
-    def _slot_classes_with_mem(self, templates, slots, baseline):
-        pool = self._register_pool()
-        classes = {}
-        for name in sorted(slots):
-            if name == "slot":
-                continue
-            allowed = []
-            for reg in pool:
-                mapping = dict(baseline)
-                mapping[name] = DReg(reg)
-                if self._assembles_instantiated(templates, mapping):
-                    allowed.append(reg)
-            classes[name] = allowed
-        return classes
 
     # -- load/store/move templates -------------------------------------------
 
@@ -242,30 +193,15 @@ class Synthesizer:
         frame = spec.frame
         if frame is None or len(frame.slots) < 2 or not frame.print_template:
             return True  # no runtime scaffold available; trust the ranking
-        pool = [r for r in self.engine.functional_registers() if r in self._common_safe()]
+        pool = self._register_pool()
         if len(pool) < 2:
             return True
         value = 30313
-        body = [self.syntax.render_instr(self.syntax.load_imm_instr(value, pool[0]))]
-        for instr in instantiate(store_tpl, {"src": DReg(pool[0]), "slot": frame.slots[0]}):
-            body.append(self.syntax.render_instr(instr))
-        for instr in instantiate(load_tpl, {"slot": frame.slots[0], "dest": DReg(pool[1])}):
-            body.append(self.syntax.render_instr(instr))
-        for instr in instantiate(store_tpl, {"src": DReg(pool[1]), "slot": frame.slots[-1]}):
-            body.append(self.syntax.render_instr(instr))
-        for instr in instantiate(frame.print_template, {"print_slot": frame.slots[-1]}):
-            body.append(self.syntax.render_instr(instr))
-        for instr in instantiate(frame.exit_template, {}):
-            body.append(self.syntax.render_instr(instr))
-        program = "\n".join(
-            frame.data_lines + frame.prologue_lines + body
-        ) + "\n"
-        try:
-            obj = self.machine.assemble(program)
-            result = self.machine.execute(self.machine.link([obj]))
-        except Exception:
-            return False
-        return result.ok and result.output == f"{value}\n"
+        body = [self.syntax.load_imm_instr(value, pool[0])]
+        body += instantiate(store_tpl, {"src": DReg(pool[0]), "slot": frame.slots[0]})
+        body += instantiate(load_tpl, {"slot": frame.slots[0], "dest": DReg(pool[1])})
+        result = self._run_scaffold(frame, store_tpl, body, pool[1])
+        return _printed(result, value)
 
     def sem_items(self):
         return sorted(self.extraction.semantics.items())
@@ -350,33 +286,17 @@ class Synthesizer:
         frame = spec.frame
         if frame is None or not frame.slots or not frame.print_template:
             return True  # no runtime scaffold available; trust the ranking
-        pool = [r for r in self.engine.functional_registers() if r in self._common_safe()]
+        pool = self._register_pool()
         if len(pool) < 2:
             return True
         value = 46279
-        body = [self.syntax.render_instr(self.syntax.load_imm_instr(value, pool[0]))]
+        body = [self.syntax.load_imm_instr(value, pool[0])]
         try:
-            for instr in instantiate(move_tpl, {"src": DReg(pool[0]), "dest": DReg(pool[1])}):
-                body.append(self.syntax.render_instr(instr))
+            body += instantiate(move_tpl, {"src": DReg(pool[0]), "dest": DReg(pool[1])})
         except KeyError:
             return False  # template never consumed the source register
-        for instr in instantiate(
-            spec.store_template, {"src": DReg(pool[1]), "slot": frame.slots[-1]}
-        ):
-            body.append(self.syntax.render_instr(instr))
-        for instr in instantiate(frame.print_template, {"print_slot": frame.slots[-1]}):
-            body.append(self.syntax.render_instr(instr))
-        for instr in instantiate(frame.exit_template, {}):
-            body.append(self.syntax.render_instr(instr))
-        program = "\n".join(
-            frame.data_lines + frame.prologue_lines + body
-        ) + "\n"
-        try:
-            obj = self.machine.assemble(program)
-            result = self.machine.execute(self.machine.link([obj]))
-        except Exception:
-            return False
-        return result.ok and result.output == f"{value}\n"
+        result = self._run_scaffold(frame, spec.store_template, body, pool[1])
+        return _printed(result, value)
 
     # -- operator rules ---------------------------------------------------------
 
@@ -447,7 +367,7 @@ class Synthesizer:
                 rule = self._build_rule(sample, ir_op, imm_right=True)
             except DiscoveryError:
                 continue
-            if not any(isinstance(op, Slot) and op.name == "imm" for i in rule.instrs for op in i.operands):
+            if "imm" not in rule.slots_used():
                 continue
             self._verify_rule(rule, sample, c_op)
             if not self._probe_rule(spec, rule):
@@ -651,10 +571,10 @@ class Synthesizer:
     # -- assembler probing of instantiated templates ------------------------------
 
     def _probe_rule(self, spec, rule):
-        mapping = self._baseline_assignment(rule.instrs, rule.slots_used())
-        if mapping is None:
+        classes = self._template_classes(rule.instrs)
+        if classes is None:
             return False
-        rule.slot_classes = self._slot_classes(rule.instrs, rule.slots_used(), mapping)
+        rule.slot_classes = classes
         return True
 
     def _register_pool(self):
@@ -674,36 +594,18 @@ class Synthesizer:
         program = ".text\n.globl main\nmain:\nLprobe:\n" + "\n".join(body) + "\n"
         return self.machine.assembles_ok(program)
 
-    def _baseline_assignment(self, templates, slots, rotations=8):
-        """An assignment of registers to slots the assembler accepts --
-        register-class targets reject some, so several draws are tried."""
-        pool = self._register_pool()
-        if not pool:
+    def _template_classes(self, templates):
+        """Probe which allocatable registers each register slot of
+        *templates* accepts -- the register classes a BEG description
+        must declare -- varying one slot at a time from a baseline
+        assignment; None when no assignment assembles at all."""
+        baseline = self._baseline_assignment(templates)
+        if baseline is None:
             return None
-        from repro.discovery.asmmodel import DSym as _DSym
-
-        for offset in range(min(len(pool), rotations)):
-            mapping = {}
-            index = offset
-            for name in sorted(slots):
-                if name == "imm":
-                    mapping[name] = DImm(3, self.syntax.imm_prefix)
-                elif name == "label":
-                    mapping[name] = _DSym("Lprobe")
-                else:
-                    mapping[name] = DReg(pool[index % len(pool)])
-                    index += 1
-            if self._assembles_instantiated(templates, mapping):
-                return mapping
-        return None
-
-    def _slot_classes(self, templates, slots, baseline):
-        """Probe which allocatable registers each slot accepts -- the
-        register classes a BEG description must declare."""
         pool = self._register_pool()
         classes = {}
-        for name in sorted(slots):
-            if name in ("imm", "label"):
+        for name in sorted(baseline):
+            if not isinstance(baseline[name], DReg):
                 continue
             allowed = []
             for reg in pool:
@@ -713,6 +615,36 @@ class Synthesizer:
                     allowed.append(reg)
             classes[name] = allowed
         return classes
+
+    def _fixed_operands(self, slots):
+        """The probe operand of each slot that never takes a register:
+        an immediate, the ``Lprobe`` label, a frame slot."""
+        fixed = {}
+        if "imm" in slots:
+            fixed["imm"] = DImm(3, self.syntax.imm_prefix)
+        if "label" in slots:
+            fixed["label"] = DSym("Lprobe")
+        if "slot" in slots:
+            fixed["slot"] = DMem(*self.addr_map.slots["a"])
+        return fixed
+
+    def _baseline_assignment(self, templates, rotations=8):
+        """An assignment of operands to every slot of *templates* the
+        assembler accepts -- register-class targets reject some register
+        choices, so several rotations of the pool are tried."""
+        pool = self._register_pool()
+        if not pool:
+            return None
+        slots = template_slots(templates)
+        fixed = self._fixed_operands(slots)
+        register_slots = sorted(slots - fixed.keys())
+        for offset in range(min(len(pool), rotations)):
+            mapping = dict(fixed)
+            for index, name in enumerate(register_slots, offset):
+                mapping[name] = DReg(pool[index % len(pool)])
+            if self._assembles_instantiated(templates, mapping):
+                return mapping
+        return None
 
     #: per-operator probe vectors for runtime rule verification
     _CHECK_VECTORS = {
@@ -728,11 +660,8 @@ class Synthesizer:
         frame = spec.frame
         if frame is None or not frame.print_template or not spec.load_template:
             return True  # no runtime scaffold; accept the semantic check
-        pool = [
-            r
-            for r in self.engine.functional_registers()
-            if r in self._common_safe() and r not in _rule_literal_regs(rule)
-        ]
+        literal_regs = _rule_literal_regs(rule)
+        pool = [r for r in self._register_pool() if r not in literal_regs]
         needed = sorted(rule.slots_used())
         regs_needed = sum(1 for n in needed if n not in ("imm", "label"))
         if getattr(rule, "two_address", False) and "result" not in needed:
@@ -783,25 +712,8 @@ class Synthesizer:
         out_reg = getattr(rule, "result_literal", None) or result_reg
         if out_reg is None:
             return True
-        body.extend(
-            instantiate(
-                spec.store_template,
-                {"src": DReg(out_reg), "slot": frame.slots[-1]},
-            )
-        )
-        body.extend(instantiate(frame.print_template, {"print_slot": frame.slots[-1]}))
-        body.extend(instantiate(frame.exit_template, {}))
-        program = "\n".join(
-            frame.data_lines
-            + frame.prologue_lines
-            + [self.syntax.render_instr(i) for i in body]
-        ) + "\n"
-        try:
-            obj = self.machine.assemble(program)
-            result = self.machine.execute(self.machine.link([obj]))
-        except Exception:
-            return False
-        ok = result.ok and result.output == f"{expected}\n"
+        result = self._run_scaffold(frame, spec.store_template, body, out_reg)
+        ok = _printed(result, expected)
         if ok:
             rule.runtime_verified = True
             # "At the present time only crude instruction timings are
@@ -814,33 +726,36 @@ class Synthesizer:
 
     def _scaffold_baseline_steps(self, spec):
         """Steps of the bare store+print+exit scaffold (cached)."""
-        if hasattr(self, "_baseline_steps"):
-            return self._baseline_steps
-        frame = spec.frame
-        pool = [r for r in self.engine.functional_registers() if r in self._common_safe()]
-        if frame is None or not pool:
-            self._baseline_steps = None
-            return None
-        body = [self.syntax.load_imm_instr(1, pool[0])]
-        body.extend(
-            instantiate(
-                spec.store_template, {"src": DReg(pool[0]), "slot": frame.slots[-1]}
-            )
-        )
-        body.extend(instantiate(frame.print_template, {"print_slot": frame.slots[-1]}))
-        body.extend(instantiate(frame.exit_template, {}))
-        program = "\n".join(
-            frame.data_lines
-            + frame.prologue_lines
-            + [self.syntax.render_instr(i) for i in body]
-        ) + "\n"
-        try:
-            obj = self.machine.assemble(program)
-            result = self.machine.execute(self.machine.link([obj]))
-            self._baseline_steps = result.steps if result.ok else None
-        except Exception:
-            self._baseline_steps = None
+        if not hasattr(self, "_baseline_steps"):
+            frame = spec.frame
+            pool = self._register_pool()
+            result = None
+            if frame is not None and pool:
+                body = [self.syntax.load_imm_instr(1, pool[0])]
+                result = self._run_scaffold(frame, spec.store_template, body, pool[0])
+            self._baseline_steps = result.steps if result is not None and result.ok else None
         return self._baseline_steps
+
+    def _run_scaffold(self, frame, store_template, body, out_reg):
+        """Run a scaffold on the target: *frame*'s data and prologue, the
+        *body* instructions, a store of *out_reg* to the print slot
+        through *store_template*, the print idiom and the exit idiom.
+
+        Returns the execution result, or None when the assembler or the
+        linker rejects the program.  A target failure propagates: an
+        outage interrupts synthesis instead of dropping the rule a
+        scaffold was checking."""
+        print_slot = frame.slots[-1]
+        instrs = list(body)
+        instrs += instantiate(store_template, {"src": DReg(out_reg), "slot": print_slot})
+        instrs += instantiate(frame.print_template, {"print_slot": print_slot})
+        instrs += instantiate(frame.exit_template, {})
+        lines = [self.syntax.render_instr(instr) for instr in instrs]
+        program = "\n".join(frame.data_lines + frame.prologue_lines + lines) + "\n"
+        try:
+            return self.machine.run_asm([program])
+        except (AssemblerError, LinkerError):
+            return None
 
     def _rule_imm_range(self, spec, sample, rule):
         """Probe the accepted range of the rule's immediate operand and
@@ -848,7 +763,7 @@ class Synthesizer:
         for instr in rule.instrs:
             for k, op in enumerate(instr.operands):
                 if isinstance(op, Slot) and op.name == "imm":
-                    mapping = self._baseline_assignment(rule.instrs, rule.slots_used())
+                    mapping = self._baseline_assignment(rule.instrs)
                     if mapping is None:
                         return None
                     concrete = instantiate([instr], mapping)[0]
@@ -920,14 +835,7 @@ class Synthesizer:
     def _allocatable(self, spec):
         literal_regs = set()
         for rule in list(spec.rules.values()) + list(spec.imm_rules.values()):
-            if getattr(rule, "result_literal", None):
-                literal_regs.add(rule.result_literal)
-            for instr in rule.instrs:
-                for op in instr.operands:
-                    if isinstance(op, DReg):
-                        literal_regs.add(op.name)
-                    if isinstance(op, DMem) and op.base:
-                        literal_regs.add(op.base)
+            literal_regs |= _rule_literal_regs(rule)
         if spec.branch:
             for brule in spec.branch.rules.values():
                 for instr in brule.instrs:
@@ -984,6 +892,11 @@ class Synthesizer:
                 spec.register_notes[reg] = "fails the value-holding probe"
 
     # -- report -------------------------------------------------------------------
+
+
+def _printed(result, value):
+    """Did a scaffold run cleanly and print exactly *value*?"""
+    return result is not None and result.ok and result.output == f"{value}\n"
 
 
 def _rule_literal_regs(rule):

@@ -243,6 +243,20 @@ def rule_with_unbound_slot(spec):
     return True
 
 
+def unary_rule_reads_right(spec):
+    """A unary rule whose template names <right>: the back end binds no
+    right operand for a unary operator, so the slot stays unbound."""
+    for ir_op in ("Neg", "Not"):
+        rule = spec.rules.get(ir_op)
+        if rule is None:
+            continue
+        first = next(op for instr in rule.instrs for op in instr.operands if isinstance(op, Slot))
+        for instr in rule.instrs:
+            instr.operands = [Slot("right") if op is first else op for op in instr.operands]
+        return True
+    return False
+
+
 CORRUPTIONS = [
     (swap_minus_operands, "SPEC100"),
     (plus_computes_minus, "SPEC100"),
@@ -258,6 +272,7 @@ CORRUPTIONS = [
     (store_writes_the_wrong_slot, "SPEC102"),
     (reg_move_reads_dest, "SPEC102"),
     (rule_with_unbound_slot, "SPEC104"),
+    (unary_rule_reads_right, "SPEC104"),
 ]
 
 

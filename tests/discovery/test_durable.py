@@ -32,7 +32,6 @@ from repro.discovery.durable import (
     PhaseProgress,
     atomic_write,
     chunked,
-    detach_runtime,
     freeze_checkpoint,
     machine_from_config,
     parse_envelope,
@@ -379,17 +378,18 @@ def _refuse_unpickling(_payload):
 
 def _legacy_blob(checkpoint):
     """A schema-1 generation: the pickle body checkpoints had before
-    the portable codec."""
-    with detach_runtime(checkpoint):
-        payload = pickle.dumps(
-            {
-                "target": checkpoint.target,
-                "completed": list(checkpoint.completed),
-                "state": checkpoint.state,
-                "report": checkpoint.report,
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+    the portable codec.  Pickle keeps every attribute, so the checkpoint
+    must hold no corpus and with it no live target connection."""
+    assert checkpoint.report.corpus is None
+    payload = pickle.dumps(
+        {
+            "target": checkpoint.target,
+            "completed": list(checkpoint.completed),
+            "state": checkpoint.state,
+            "report": checkpoint.report,
+        },
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
     header = json.dumps(
         {
             "schema": 1,

@@ -7,17 +7,20 @@ a 0% fault rate the whole apparatus is free (identical target-invocation
 counters to an unwrapped run).
 """
 
+import hashlib
 import pathlib
 
 import pytest
 
 from repro.beg.codegen import GeneratedBackend
-from repro.errors import TransientTargetError
+from repro.errors import TargetError, TransientTargetError
 from repro.machines.faults import FaultyMachine
 from repro.machines.machine import RemoteMachine
 from repro.toyc.frontend import parse
 from repro.discovery.driver import ArchitectureDiscovery, DiscoveryInterrupted
+from repro.discovery.durable import freeze_body
 from repro.discovery.resilience import ResilienceConfig
+from tests.discovery.test_discovery_work import PINNED
 
 GCD = (
     pathlib.Path(__file__).resolve().parents[2] / "examples" / "programs" / "gcd.a"
@@ -132,3 +135,70 @@ def test_checkpoint_target_mismatch_rejected():
 
     with pytest.raises(DiscoveryError):
         ArchitectureDiscovery(RemoteMachine("mips")).run(resume=excinfo.value.checkpoint)
+
+
+class _ExecuteOutage:
+    """A machine whose ``execute`` fails for *length* calls, starting at
+    the *start*-th call after it is armed."""
+
+    def __init__(self, inner, start, length):
+        self.inner = inner
+        self.start, self.length = start, length
+        self.armed = False
+        self.executions = 0
+
+    def execute(self, executable):
+        if self.armed:
+            self.executions += 1
+            if self.start <= self.executions < self.start + self.length:
+                raise TransientTargetError("target host unreachable")
+        return self.inner.execute(executable)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class _OutageInSynthesis(ArchitectureDiscovery):
+    """Driver variant that arms the outage as synthesis starts."""
+
+    def _phase_synthesize(self, report, state):
+        self.machine.inner.armed = True
+        super()._phase_synthesize(report, state)
+
+
+@pytest.fixture(scope="module")
+def synthesis_outages():
+    """Two equal vax runs whose synthesis loses its 20th and 21st
+    executions.  With one retry the outage outlasts the resilience
+    layer; a Synthesizer that took the failure for a wrong rule dropped
+    the Neg rule and completed with another spec.  One worker, as in
+    every test that compares checkpoint bytes: with more, the mutation
+    engine's shared value-set memo fills in thread completion order."""
+    runs = []
+    for _ in range(2):
+        machine = _ExecuteOutage(RemoteMachine("vax"), start=20, length=2)
+        driver = _OutageInSynthesis(
+            machine, workers=1, resilience=ResilienceConfig(max_retries=1)
+        )
+        with pytest.raises(DiscoveryInterrupted) as excinfo:
+            driver.run()
+        interrupted = excinfo.value
+        runs.append((machine, interrupted, freeze_body(interrupted.checkpoint)))
+    return runs
+
+
+def test_synthesis_outage_interrupts_and_resumes_to_the_pinned_spec(synthesis_outages):
+    machine, interrupted, _body = synthesis_outages[0]
+    assert interrupted.phase == "synthesis"
+    assert isinstance(interrupted.cause, TargetError)
+    assert "synthesis" not in interrupted.checkpoint.completed
+    machine.armed = False
+    report = ArchitectureDiscovery(machine).run(resume=interrupted.checkpoint)
+    spec_sha = hashlib.sha256(report.spec.render_beg().encode()).hexdigest()
+    assert spec_sha == PINNED["vax"][0]
+
+
+def test_equal_interrupted_runs_freeze_to_equal_bytes(synthesis_outages):
+    """An interrupted checkpoint carries no wall-clock time."""
+    (_, _, first), (_, _, second) = synthesis_outages
+    assert first == second
