@@ -43,7 +43,7 @@ from repro.beg.codegen import (
     bind_rule,
     take_register,
 )
-from repro.beg.ir import UNARY_OPS
+from repro.beg.ir import UNARY_OPS, operator_named, relation_named
 from repro.discovery.asmmodel import (
     DImm,
     DMem,
@@ -77,44 +77,6 @@ SAMPLE_LIMIT = 256
 TEMPLATE_FUEL = 512
 
 DEFAULT_SEED = 1997
-
-#: IR binary operator -> reference word semantics (matches beg.ir.eval_program)
-_BIN_REF = {
-    "Plus": wordops.add,
-    "Minus": wordops.sub,
-    "Mult": wordops.mul,
-    "Div": wordops.sdiv,
-    "Mod": wordops.smod,
-    "And": wordops.band,
-    "Or": wordops.bor,
-    "Xor": wordops.bxor,
-    "Shl": wordops.shl,
-    "Shr": wordops.shr_arith,
-}
-
-_UN_REF = {
-    "Neg": wordops.neg,
-    "Not": wordops.bit_not,
-}
-
-#: Shift counts outside [0, word_bits) are undefined in the source
-#: language (the IR evaluator reduces them mod the word size, but real
-#: hardware disagrees on them -- the VAX ``ashl`` treats its count as
-#: signed and shifts the other way for negative counts), so shift
-#: obligations quantify only over the defined domain, the same way
-#: division obligations skip a zero divisor.
-_SHIFT_OPS = {"Shl", "Shr"}
-
-#: relation name -> predicate over signed words (matches beg.ir RELATIONS)
-_RELATIONS = {
-    "isLT": lambda a, b: a < b,
-    "isLE": lambda a, b: a <= b,
-    "isGT": lambda a, b: a > b,
-    "isGE": lambda a, b: a >= b,
-    "isEQ": lambda a, b: a == b,
-    "isNE": lambda a, b: a != b,
-}
-
 
 class _Unverifiable(Exception):
     """The obligation cannot even be posed: the template does not
@@ -356,12 +318,12 @@ class _Verifier:
 
     def _verify_op_rule(self, ir_op, rule, where, code="SPEC100"):
         self.stats["obligations"] += 1
-        unary = ir_op in UNARY_OPS
-        ref_fn = _UN_REF.get(ir_op) if unary else _BIN_REF.get(ir_op)
-        if ref_fn is None:
+        row = operator_named(ir_op)
+        if row is None:
             self._add(code, f"{where}: unknown IR operator {ir_op!r}", where)
             self.stats["unverifiable"] += 1
             return
+        unary = row.arity == 1
         try:
             binding = bind_rule(rule, self.registers, right=not unary)
             lowered = _lower(rule.instrs, binding.mapping, self.builtin_ids)
@@ -371,18 +333,24 @@ class _Verifier:
             return
 
         def reference(*vals):
-            return ref_fn(*vals, self.bits)
+            return row.word(*vals, self.bits)
 
         var_names = ["left"] if unary else ["left", "right"]
         bounds = {}
-        if ir_op in _SHIFT_OPS:
+        # Shift counts outside [0, word_bits) are undefined in the source
+        # language (the IR evaluator reduces them mod the word size, but
+        # real hardware disagrees on them -- the VAX ``ashl`` treats its
+        # count as signed and shifts the other way for negative counts),
+        # so shift obligations quantify only over the defined domain, the
+        # same way division obligations skip a zero divisor.
+        if row.shift:
             bounds["right"] = (0, self.bits - 1)
         self._check_rule(where, code, binding, lowered, reference, var_names, bounds)
 
     def _verify_imm_rule(self, ir_op, rule, where):
         self.stats["obligations"] += 1
-        ref_fn = _BIN_REF.get(ir_op)
-        if ref_fn is None:
+        row = operator_named(ir_op)
+        if row is None or row.arity != 2:
             self._add("SPEC100", f"{where}: unknown IR operator {ir_op!r}", where)
             self.stats["unverifiable"] += 1
             return
@@ -418,10 +386,10 @@ class _Verifier:
                     return
 
         def reference(left, imm):
-            return ref_fn(left, imm, self.bits)
+            return row.word(left, imm, self.bits)
 
         imm_bounds = imm_range
-        if ir_op in _SHIFT_OPS:
+        if row.shift:
             lo = 0 if imm_range is None else max(0, imm_range[0])
             hi = self.bits - 1 if imm_range is None else min(self.bits - 1, imm_range[1])
             imm_bounds = (lo, hi) if lo <= hi else (0, self.bits - 1)
@@ -712,8 +680,8 @@ class _Verifier:
         """
         self.stats["obligations"] += 1
         where = f"branch[{relation}]"
-        predicate = _RELATIONS.get(relation)
-        if predicate is None:
+        row = relation_named(relation)
+        if row is None or row.prim != relation:
             self._add("SPEC104", f"{where}: unknown relation {relation!r}", where)
             self.stats["unverifiable"] += 1
             return
@@ -727,7 +695,7 @@ class _Verifier:
         left_values = self._candidates(where, "left")
         right_values = self._candidates(where, "right") if has_right else [0]
         for a, b in ranked_product([left_values, right_values], limit=SAMPLE_LIMIT):
-            expected = predicate(
+            expected = row.holds(
                 wordops.to_signed(a, self.bits), wordops.to_signed(b, self.bits)
             )
             outcomes = []
@@ -933,7 +901,8 @@ def _diff_rule(diagnostics, va, vb, ir_op, rule_a, rule_b, where, label_a, label
             hi = min(range_a[1], range_b[1])
             if lo <= hi:
                 bounds["imm"] = (lo, hi)
-    if ir_op in _SHIFT_OPS:
+    row = operator_named(ir_op)
+    if row is not None and row.shift:
         count_var = "imm" if imm else "right"
         lo, hi = bounds.get(count_var, (0, bits - 1))
         lo, hi = max(lo, 0), min(hi, bits - 1)

@@ -119,10 +119,9 @@ class GeneratedBackend:
             self._store(reg, slot)
             return slot
         if isinstance(expr, UnOp):
-            ir_op = {"Neg": "Neg", "Not": "Not"}[expr.op]
-            rule = self.spec.rules.get(ir_op)
+            rule = self.spec.rules.get(expr.op)
             if rule is None:
-                raise BackendError(f"no rule for {ir_op} on {self.spec.target}")
+                raise BackendError(f"no rule for {expr.op} on {self.spec.target}")
             operand_slot = self._gen_expr(expr.operand, temps)
             return self._apply_rule(rule, operand_slot, None, temps)
         if isinstance(expr, BinOp):

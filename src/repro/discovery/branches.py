@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import wordops
+from repro.beg.ir import RELATION_TABLE, relation_named
 from repro.discovery.asmmodel import DImm, DMem, DReg, DSym, Slot, split_lines
 from repro.discovery.lexer import find_delimiters
-from repro.discovery.primitives import RELATIONS
 from repro.errors import DiscoveryError
 
 
@@ -28,7 +28,7 @@ from repro.errors import DiscoveryError
 class BranchRule:
     """Jump to LABEL iff relation(left, right) -- an emission template."""
 
-    relation: str  # "isLT" | ... (RELATIONS key)
+    relation: str  # a relation's primitive name: "isLT" | ...
     instrs: list  # template DInstrs with Slot operands
     semantics: str = ""  # human-readable derivation for the report
     #: slot name -> registers the assembler accepts there (cf. OpRule)
@@ -93,13 +93,13 @@ def _value_of(source, values, bits):
 def _relation_matching(table, left_src, right_src, bits):
     """Which relation over (left, right) reproduces the taken column?"""
     matches = []
-    for name, fn in RELATIONS.items():
+    for row in RELATION_TABLE:
         if all(
-            fn(_value_of(left_src, values, bits), _value_of(right_src, values, bits))
+            row.holds(_value_of(left_src, values, bits), _value_of(right_src, values, bits))
             == taken
             for values, taken in table
         ):
-            matches.append(name)
+            matches.append(row.prim)
     return matches
 
 
@@ -152,8 +152,8 @@ class BranchAnalysis:
         """``jump iff left >= right`` serves BranchLE with its operands
         exchanged -- compilers that always negate-and-swap (the Alpha's
         cmplt/beq idiom) never exhibit an LT-taken branch directly."""
-        swaps = {"isLT": "isGT", "isGT": "isLT", "isLE": "isGE", "isGE": "isLE"}
-        for relation, partner in swaps.items():
+        for row in RELATION_TABLE:
+            relation, partner = row.prim, relation_named(row.swapped).prim
             if relation in model.rules or partner not in model.rules:
                 continue
             source = model.rules[partner]
@@ -339,7 +339,8 @@ class BranchAnalysis:
         solutions = []
         import itertools
 
-        for rel_choice in itertools.product(sorted(RELATIONS), repeat=len(setters)):
+        relations = sorted(row.prim for row in RELATION_TABLE)
+        for rel_choice in itertools.product(relations, repeat=len(setters)):
             rel_of = dict(zip(setters, rel_choice))
             for pol_choice in itertools.product((True, False), repeat=len(branches)):
                 pol_of = dict(zip(branches, pol_choice))
@@ -356,7 +357,9 @@ class BranchAnalysis:
         )
         for c in constraints:
             relation = rel_of[c["setter"]]
-            taken_rel = relation if pol_of[c["branch"]] else _negate(relation)
+            taken_rel = relation
+            if not pol_of[c["branch"]]:
+                taken_rel = relation_named(relation_named(relation).negation).prim
             sample = c["sample"]
             slots = {
                 (c["def_idx"], c["value_ops"][0]): Slot("left"),
@@ -381,7 +384,7 @@ class BranchAnalysis:
 
     def _joint_consistent(self, constraints, rel_of, pol_of):
         for c in constraints:
-            fn = RELATIONS[rel_of[c["setter"]]]
+            fn = relation_named(rel_of[c["setter"]]).holds
             polarity = pol_of[c["branch"]]
             for values, taken in c["table"]:
                 lv = _value_of(c["left"], values, self.bits)
@@ -390,14 +393,3 @@ class BranchAnalysis:
                 if fired != taken:
                     return False
         return True
-
-
-def _negate(relation):
-    return {
-        "isLT": "isGE",
-        "isGE": "isLT",
-        "isLE": "isGT",
-        "isGT": "isLE",
-        "isEQ": "isNE",
-        "isNE": "isEQ",
-    }[relation]

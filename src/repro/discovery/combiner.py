@@ -23,34 +23,18 @@ import random
 from dataclasses import dataclass, field
 
 from repro import wordops
+from repro.beg.ir import operator_named
 from repro.beg.spec import OpRule
 from repro.discovery.asmmodel import DImm, DMem, DReg, Slot
 from repro.discovery.terms import TermEvalError, eval_term
 
-#: IR operator -> reference function over signed ints
-IR_FUNCTIONS = {
-    "Plus": lambda a, b, bits: wordops.add(a, b, bits),
-    "Minus": lambda a, b, bits: wordops.sub(a, b, bits),
-    "Mult": lambda a, b, bits: wordops.mul(a, b, bits),
-    "Div": lambda a, b, bits: wordops.sdiv(a, b, bits),
-    "Mod": lambda a, b, bits: wordops.smod(a, b, bits),
-    "And": lambda a, b, bits: a & b,
-    "Or": lambda a, b, bits: a | b,
-    "Xor": lambda a, b, bits: a ^ b,
-    "Shl": lambda a, b, bits: wordops.shl(a, b, bits),
-    "Shr": lambda a, b, bits: wordops.shr_arith(a, b, bits),
-    "Neg": lambda a, _b, bits: wordops.neg(a, bits),
-    "Not": lambda a, _b, bits: wordops.bit_not(a, bits),
-}
-
-
-def _vectors(ir_op, rng, bits):
+def _vectors(row, rng, bits):
     """Value vectors per operator (nonzero divisors, small shift counts)."""
     out = []
     for _ in range(4):
-        if ir_op in ("Shl", "Shr"):
+        if row.shift:
             out.append((rng.randint(300, 9000), rng.randint(2, 8)))
-        elif ir_op in ("Div", "Mod"):
+        elif row.divisor:
             out.append((rng.randint(1000, 90000), rng.randint(3, 97)))
         else:
             out.append(
@@ -139,15 +123,15 @@ class Combiner:
     # ------------------------------------------------------------------
 
     def find(self, ir_op):
-        fn = IR_FUNCTIONS.get(ir_op)
-        if fn is None:
+        row = operator_named(ir_op)
+        if row is None:
             return None
-        vectors = _vectors(ir_op, self.rng, self.bits)
-        unary = ir_op in ("Neg", "Not")
+        vectors = _vectors(row, self.rng, self.bits)
+        unary = row.arity == 1
         for length in range(1, self.max_length + 1):
             for combo in itertools.product(self.shapes, repeat=length):
                 for wiring in self._wirings(combo, unary):
-                    if self._check(fn, vectors, combo, wiring, unary):
+                    if self._check(row, vectors, combo, wiring):
                         return self._as_result(ir_op, combo, wiring, vectors)
         return None
 
@@ -175,11 +159,11 @@ class Combiner:
 
         yield from extend(0, [], list(base_cells))
 
-    def _check(self, fn, vectors, combo, wiring, unary):
+    def _check(self, row, vectors, combo, wiring):
+        bits = self.bits
         for left, right in vectors:
-            env = {"left": wordops.mask(left, self.bits)}
-            if not unary:
-                env["right"] = wordops.mask(right, self.bits)
+            operands = [wordops.mask(left, bits), wordops.mask(right, bits)][: row.arity]
+            env = dict(zip(("left", "right"), operands))
             try:
                 out_cell = None
                 for shape, (choice, out) in zip(combo, wiring):
@@ -188,15 +172,7 @@ class Combiner:
                     out_cell = out
             except TermEvalError:
                 return False
-            expected = wordops.mask(
-                fn(
-                    wordops.to_signed(wordops.mask(left, self.bits), self.bits),
-                    wordops.to_signed(wordops.mask(right, self.bits), self.bits),
-                    self.bits,
-                ),
-                self.bits,
-            )
-            if env.get(out_cell) != expected:
+            if env.get(out_cell) != row.word(*operands, bits):
                 return False
         return True
 

@@ -114,7 +114,7 @@ class DiscoveryReport:
     engine: object = None
     timings: list = field(default_factory=list)
     machine_stats: object = None
-    probe_log: object = None
+    probe_log: object = None  # probe.ProbeLog, copied in when the run ends
     notes: list = field(default_factory=list)
     quarantined: list = field(default_factory=list)  # degraded-coverage record
     retry_stats: object = None  # resilience.RetryStats, when wrapped
@@ -138,12 +138,12 @@ class DiscoveryReport:
 
     def summary(self):
         """The headline numbers, then one block per counter set the
-        report holds (``machine`` from ``machine_stats`` and so on, and
-        ``mutation`` from the engine), each rendered by its
-        ``as_dict()``, then ``phase_timings``.  Every field is guarded:
-        a report from an interrupted or degenerate run (no samples, no
-        enquire data) summarises instead of dividing by zero or
-        dereferencing None."""
+        report holds (``machine`` from ``machine_stats`` and so on,
+        ``mutation`` from the engine and ``probe`` from ``probe_log``),
+        each rendered by its ``as_dict()``, then ``phase_timings``.
+        Every field is guarded: a report from an interrupted or
+        degenerate run (no samples, no enquire data) summarises instead
+        of dividing by zero or dereferencing None."""
         usable = sum(1 for s in self.corpus.samples if s.usable) if self.corpus else 0
         total = len(self.corpus.samples) if self.corpus else 0
         out = {
@@ -187,6 +187,8 @@ class DiscoveryReport:
                 out[name] = stats.as_dict()
         if self.engine is not None:
             out["mutation"] = self.engine.stats.as_dict()
+        if self.probe_log is not None:
+            out["probe"] = self.probe_log.as_dict()
         out["phase_timings"] = self.phase_timings
         return out
 
@@ -334,6 +336,10 @@ class ArchitectureDiscovery:
         if extract_procs is None:
             extract_procs = int(os.environ.get("REPRO_EXTRACT_PROCS", "1"))
         self.extractor = ExtractionEngine(procs=extract_procs, memo=extract_memo)
+        # Like the machine, scheduler and cache counters, the probe log
+        # is this process's own: it never rides a checkpoint, so a
+        # resumed run counts only the probes it issues itself.
+        self.probe_log = probe.ProbeLog()
         self.seed = seed
         self.ri_budget = ri_budget
         self.use_likelihood = use_likelihood
@@ -373,6 +379,7 @@ class ArchitectureDiscovery:
             if report.corpus is not None and report.corpus.machine is None:
                 report.corpus.machine = self.machine
                 report.corpus._init_cache = {}
+            report.probe_log = None  # older checkpoints carry one
         else:
             report = DiscoveryReport(target=self.machine.target)
             completed, state = [], {}
@@ -452,6 +459,7 @@ class ArchitectureDiscovery:
         fault_stats = facade.layer_attr(self.machine, "fault_stats")
         report.fault_stats = fault_stats.copy() if fault_stats is not None else None
         report.scheduler_stats = self.scheduler.stats.copy()
+        report.probe_log = self.probe_log.copy()
         if self.cache is not None:
             report.cache_stats = self.cache.stats.copy()
         if report.corpus is not None:
@@ -578,13 +586,12 @@ class ArchitectureDiscovery:
         report.enquire = enquire(self.machine)
 
     def _phase_syntax(self, report, state):
-        log = probe.ProbeLog()
+        log = self.probe_log
         syntax = DiscoveredSyntax()
         syntax.comment_char = probe.discover_comment_char(self.machine, log)
         probe.discover_literal_syntax(self.machine, syntax, log)
         probe.discover_loadimm(self.machine, syntax, log)
         report.syntax = syntax
-        report.probe_log = log
 
     def _phase_generate(self, report, state):
         # Spec construction draws from the seeded rng strictly in order
@@ -616,7 +623,7 @@ class ArchitectureDiscovery:
             self.machine,
             report.syntax,
             asms,
-            report.probe_log,
+            self.probe_log,
             scheduler=self.scheduler,
             progress=self._progress("register discovery"),
         )
@@ -667,7 +674,9 @@ class ArchitectureDiscovery:
             return fork
 
         for chunk in chunked(tasks, progress.chunk):
+            marks = engine.memo_marks()
             outcomes = self.scheduler.map(analyse, chunk, phase="mutation analysis")
+            engine.order_memos(marks, chunk)
             for sample, outcome in zip(chunk, outcomes):
                 if outcome.ok:
                     engine.absorb(outcome.value)
@@ -748,7 +757,7 @@ class ArchitectureDiscovery:
             report.addr_map,
             report.extraction,
             report.enquire,
-            report.probe_log,
+            self.probe_log,
             seed=self.seed,
         )
         report.spec = synthesizer.synthesize(

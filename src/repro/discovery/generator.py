@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import random
 
+from repro.beg.ir import OPERATOR_TABLE, RELATION_TABLE
 from repro.discovery import values as mc
 from repro.discovery.samples import INIT_HEADER, Corpus, Sample, make_main_source
 from repro.errors import TargetError
 
-BINARY_OPS = ["+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>"]
-COMPARISONS = ["<", "<=", ">", ">=", "==", "!="]
+#: the operator rows of the binary and unary samples, in table order
+BINARY_ROWS = tuple(row for row in OPERATOR_TABLE if row.arity == 2)
+UNARY_ROWS = tuple(row for row in OPERATOR_TABLE if row.arity == 1)
 
 #: the paper's nine operand shapes for a binary operator
 BINARY_SHAPES = [
@@ -82,8 +84,8 @@ class SampleGenerator:
         specs.extend(self._binary_specs())
         if extra_value_rounds:
             for round_number in range(extra_value_rounds):
-                for op in BINARY_OPS:
-                    extra = self._binary_spec(op, "a=b@c")
+                for row in BINARY_ROWS:
+                    extra = self._binary_spec(row, "a=b@c")
                     extra.name += f"_v{round_number + 2}"
                     specs.append(extra)
         specs.extend(self._unary_specs())
@@ -98,22 +100,22 @@ class SampleGenerator:
 
     def _binary_specs(self):
         return [
-            self._binary_spec(op, shape)
-            for op in BINARY_OPS
+            self._binary_spec(row, shape)
+            for row in BINARY_ROWS
             for shape in BINARY_SHAPES
         ]
 
-    def _binary_spec(self, op, shape):
+    def _binary_spec(self, row, shape):
         """Choose initialisation values that make *this statement's*
         effective operand pair unambiguous (section 5.2.1); a value set
         good for ``a=b/c`` may leave ``a=c/b`` printing a degenerate 0."""
-        is_shift = op in ("<<", ">>")
-        konst = 3 if is_shift else 7
-        if shape == "a=K@b" and is_shift:
+        op = row.spelling
+        konst = 3 if row.shift else 7
+        if shape == "a=K@b" and row.shift:
             konst = 503
         rhs = shape.split("=")[1]
         left_name, right_name = rhs.split("@")
-        if op in ("/", "%") and left_name == "K":
+        if row.divisor and left_name == "K":
             konst = 97811  # a dividend large enough for any divisor draw
         values = None
         for _attempt in range(2000):
@@ -123,7 +125,7 @@ class SampleGenerator:
                 "c": mc.choose_single(self.rng, self.word_bits),
             }
             # Shift counts must stay small wherever they are read from.
-            if is_shift and right_name != "K":
+            if row.shift and right_name != "K":
                 if left_name == right_name:
                     # b>>b needs a value that is large yet shifts by a
                     # small count (counts are taken mod the word width).
@@ -138,11 +140,11 @@ class SampleGenerator:
             env["K"] = konst
             lv, rv = env[left_name], env[right_name]
             if left_name == right_name:
-                if op in ("/", "%") and rv == 0:
+                if row.divisor and rv == 0:
                     continue
                 values = trial  # degenerate shape; nothing to pin
                 break
-            if op in ("/", "%"):
+            if row.divisor:
                 if rv == 0 or lv <= rv * 3 or lv % rv == 0:
                     continue
             if mc.values_distinct(lv, rv, self.word_bits, op):
@@ -156,7 +158,7 @@ class SampleGenerator:
             .replace("=", " = ")
             + ";"
         )
-        name = f"int_{_op_name(op)}_{shape.replace('@', 'OP').replace('=', '_')}"
+        name = f"int_{row.stem}_{shape.replace('@', 'OP').replace('=', '_')}"
         return Sample(
             name=name,
             kind="binary",
@@ -168,13 +170,14 @@ class SampleGenerator:
 
     def _unary_specs(self):
         specs = []
-        for op, opname in (("-", "neg"), ("~", "not")):
+        for row in UNARY_ROWS:
+            op = row.spelling
             for operand in ("b", "a"):
                 b, c = mc.choose_pair(self.rng, self.word_bits)
                 a = mc.choose_single(self.rng, self.word_bits)
                 specs.append(
                     Sample(
-                        name=f"int_{opname}_{operand}",
+                        name=f"int_{row.stem}_{operand}",
                         kind="unary",
                         op=op,
                         shape=f"a={op}{operand}",
@@ -217,13 +220,14 @@ class SampleGenerator:
 
     def _cond_specs(self):
         specs = []
-        for rel in COMPARISONS:
+        for row in RELATION_TABLE:
+            rel = row.spelling
             b, c = mc.choose_pair(self.rng, self.word_bits)
             if b == c:
                 c = b + 11
             specs.append(
                 Sample(
-                    name=f"int_cond_{_op_name(rel)}",
+                    name=f"int_cond_{row.stem}",
                     kind="cond",
                     op=rel,
                     shape=f"if(b{rel}c)",
@@ -295,24 +299,3 @@ def realise_sample(corpus, sample):
         )
         return
     sample.expected_output = result.output
-
-
-def _op_name(op):
-    return {
-        "+": "add",
-        "-": "sub",
-        "*": "mul",
-        "/": "div",
-        "%": "mod",
-        "&": "and",
-        "|": "or",
-        "^": "xor",
-        "<<": "shl",
-        ">>": "shr",
-        "<": "lt",
-        "<=": "le",
-        ">": "gt",
-        ">=": "ge",
-        "==": "eq",
-        "!=": "ne",
-    }[op]

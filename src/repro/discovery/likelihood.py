@@ -17,7 +17,8 @@ before the search starts and never re-scored.
 
 from __future__ import annotations
 
-from repro.discovery.primitives import C_OP_PRIM, NAME_HINTS
+from repro.beg.ir import operator_spelled
+from repro.discovery.primitives import NAME_HINTS
 from repro.discovery.terms import TermTable
 
 #: implementation-specific weights (paper: "the c's are implementation
@@ -51,11 +52,8 @@ class Scorer:
     hypothesis."""
 
     def __init__(self, sample, instr, role):
-        op_prim = C_OP_PRIM.get(sample.op or "", None)
-        if sample.op == "-" and sample.kind == "unary":
-            op_prim = "neg"
-        if sample.op == "~":
-            op_prim = "not"
+        row = operator_spelled(sample.op, 1 if sample.kind == "unary" else 2)
+        op_prim = row.prim if row is not None else None
         self.op_prim = op_prim
         self.role = role
         # Multi-instruction expansions (mod = div+mul+sub, shifts

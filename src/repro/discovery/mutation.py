@@ -146,6 +146,26 @@ class MutationEngine:
         """Fold a fork's private counters back in (merge step)."""
         self.stats.merge(fork.stats)
 
+    def memo_marks(self):
+        """How many entries the shared value-set and safe-set memos
+        hold now; pass it to :meth:`order_memos` after a fan-out."""
+        return len(self._value_sets), len(self._clobber_safe)
+
+    def order_memos(self, marks, samples):
+        """Put the memo entries added since *marks* in the order of
+        *samples*, the order one worker adds them in, whatever order the
+        forks finished in: the checkpoint codec keeps dict order, so
+        the checkpoint bytes stay independent of the worker count.  A
+        fork adds entries only for its own sample, so nothing is
+        computed twice and only the order moves."""
+        position = {sample.name: index for index, sample in enumerate(samples)}
+        for memo, mark in zip((self._value_sets, self._clobber_safe), marks):
+            added = list(memo.items())[mark:]
+            for name, _entry in added:
+                del memo[name]
+            added.sort(key=lambda item: position.get(item[0], len(position)))
+            memo.update(added)
+
     # -- value sets ---------------------------------------------------------
 
     def value_sets(self, sample):

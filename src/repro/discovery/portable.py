@@ -88,12 +88,6 @@ def _restore_corpus(corpus):
     corpus._init_cache = {}
 
 
-def _restore_probe_log(log):
-    import threading
-
-    log._lock = threading.Lock()
-
-
 def _restore_report(report):
     # Timings are excluded by policy (wall clock is not state); the
     # resumed run measures its own phases from here on.
@@ -160,9 +154,8 @@ def _build_registry():
         # the rendered-text cache is derived, and clones never share it
         "DInstr": _Entry(DInstr, exclude=("rendered",)),
         "Enquire": _Entry(EnquireResult),
-        "ProbeLog": _Entry(
-            ProbeLog, exclude=("_lock",), restore=_restore_probe_log
-        ),
+        # no run commits a probe log any more; older checkpoints carry one
+        "ProbeLog": _Entry(ProbeLog),
         "LiveRange": _Entry(LiveRange),
         "RegionInfo": _Entry(RegionInfo),
         "Dfg": _Entry(Dfg),

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import wordops
+from repro.beg.ir import OPERATOR_TABLE
 
 
 @dataclass(frozen=True)
@@ -58,59 +59,30 @@ PRIMITIVES = {
     ]
 }
 
+
+def _term_prim(row):
+    """An operator row as a term primitive: ``(arity, fn(bits, *args))``
+    over its word function."""
+    word = row.word
+    if row.arity == 1:
+        return 1, lambda bits, a: word(a, bits)
+    return 2, lambda bits, a, b: word(a, b, bits)
+
+
 #: integer primitives usable inside reverse-interpretation terms,
-#: mapping name -> (arity, evaluator(bits, *args))
+#: mapping name -> (arity, evaluator(bits, *args)), in term-enumeration
+#: (so search) order; each source operator's entry comes from its row of
+#: the operator table, and only shiftRightU and abs, which no source
+#: operator has, are written out here
 TERM_PRIMS = {
-    "add": (2, lambda bits, a, b: wordops.add(a, b, bits)),
-    "sub": (2, lambda bits, a, b: wordops.sub(a, b, bits)),
-    "mul": (2, lambda bits, a, b: wordops.mul(a, b, bits)),
-    "div": (2, lambda bits, a, b: wordops.sdiv(a, b, bits)),
-    "mod": (2, lambda bits, a, b: wordops.smod(a, b, bits)),
-    "and": (2, lambda bits, a, b: a & b),
-    "or": (2, lambda bits, a, b: a | b),
-    "xor": (2, lambda bits, a, b: a ^ b),
-    "shiftLeft": (2, lambda bits, a, b: wordops.shl(a, b, bits)),
-    "shiftRight": (2, lambda bits, a, b: wordops.shr_arith(a, b, bits)),
+    **{row.prim: _term_prim(row) for row in OPERATOR_TABLE if row.arity == 2},
     "shiftRightU": (2, lambda bits, a, b: wordops.shr_logical(a, b, bits)),
-    "neg": (1, lambda bits, a: wordops.neg(a, bits)),
-    "not": (1, lambda bits, a: wordops.bit_not(a, bits)),
+    **{row.prim: _term_prim(row) for row in OPERATOR_TABLE if row.arity == 1},
     "abs": (1, lambda bits, a: wordops.mask(abs(wordops.to_signed(a, bits)), bits)),
 }
 
-#: which term primitive corresponds to each C operator in the samples
-C_OP_PRIM = {
-    "+": "add",
-    "-": "sub",
-    "*": "mul",
-    "/": "div",
-    "%": "mod",
-    "&": "and",
-    "|": "or",
-    "^": "xor",
-    "<<": "shiftLeft",
-    ">>": "shiftRight",
-    "u-": "neg",  # unary minus
-    "~": "not",
-}
-
-#: comparison evaluators for the branch analysis
-RELATIONS = {
-    "isLT": lambda a, b: a < b,
-    "isLE": lambda a, b: a <= b,
-    "isGT": lambda a, b: a > b,
-    "isGE": lambda a, b: a >= b,
-    "isEQ": lambda a, b: a == b,
-    "isNE": lambda a, b: a != b,
-}
-
-C_REL_NAME = {
-    "<": "isLT",
-    "<=": "isLE",
-    ">": "isGT",
-    ">=": "isGE",
-    "==": "isEQ",
-    "!=": "isNE",
-}
+#: term primitives whose right operand is a divisor: a zero one fails
+DIVISOR_PRIMS = frozenset(row.prim for row in OPERATOR_TABLE if row.divisor)
 
 #: mnemonic substring hints for the N(I,R) likelihood component
 NAME_HINTS = {

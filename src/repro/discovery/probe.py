@@ -10,9 +10,9 @@ undefined-symbol link error separates register names from symbols.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.counters import Counters
 from repro.errors import (
     AssemblerError,
     DiscoveryError,
@@ -42,40 +42,17 @@ _PROBE_VALUE = 1235
 
 
 @dataclass
-class ProbeLog:
-    """Counts of probe interactions, for the cost benchmarks.
-
-    ``bump`` / ``note`` are safe to call from scheduler worker threads
-    (register probing fans out over the connection pool)."""
+class ProbeLog(Counters):
+    """Counts of probe interactions: the summary's ``probe`` block and
+    the cost benchmarks.  Register probing fans out over the connection
+    pool, so its counters move through ``bump``."""
 
     comment_probes: int = 0
     literal_probes: int = 0
     register_probes: int = 0
     range_probes: int = 0
-    notes: list = field(default_factory=list)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def bump(self, counter, n=1):
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + n)
-
-    def note(self, text):
-        with self._lock:
-            self.notes.append(text)
-
-    # Locks do not pickle; the log rides discovery checkpoints, so drop
-    # the lock on freeze and grow a fresh one on thaw.
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_lock", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
+    #: register candidates left unconfirmed after a transient target error
+    registers_skipped: int = 0
 
 
 def _assembles(machine, body):
@@ -183,7 +160,7 @@ def _probe_register(machine, syntax, candidate, log=None):
     """A register candidate must assemble in the load-immediate slot AND
     survive linking (symbols die with an undefined-symbol error)."""
     if log:
-        log.bump("register_probes")
+        log.bump(register_probes=1)
     instr = syntax.load_imm_instr(5, candidate)
     return _assembles_and_links(machine, syntax.render_instr(instr))
 
@@ -276,9 +253,10 @@ def discover_registers(
     then expand each confirmed name's family and probe those too.
 
     A candidate whose probe fails *terminally* (the retry policy gave
-    up on the target) is left unconfirmed and noted in the log -- a
-    smaller register universe degrades coverage but never corrupts it,
-    whereas aborting here would kill the whole run.
+    up on the target) is left unconfirmed and counted in the log's
+    ``registers_skipped`` -- a smaller register universe degrades
+    coverage but never corrupts it, whereas aborting here would kill
+    the whole run.
 
     Candidate probes are independent accept/reject interactions, so a
     :class:`~repro.discovery.scheduler.ProbeScheduler` fans each batch
@@ -297,9 +275,9 @@ def discover_registers(
     def probes_ok(candidate, conn=machine):
         try:
             return _probe_register(conn, syntax, candidate, log)
-        except TransientTargetError as exc:
+        except TransientTargetError:
             if log:
-                log.note(f"register probe {candidate!r} skipped: {exc}")
+                log.bump(registers_skipped=1)
             return False
 
     def probe_chunk(candidates, phase):

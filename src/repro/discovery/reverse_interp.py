@@ -23,7 +23,7 @@ from typing import NamedTuple
 from repro import wordops
 from repro.discovery import likelihood
 from repro.discovery.asmmodel import DImm, DMem, DReg, DSym
-from repro.discovery.primitives import TERM_PRIMS
+from repro.discovery.primitives import DIVISOR_PRIMS, TERM_PRIMS
 from repro.discovery.terms import TermTable, enumerate_terms, render_effects, term_size
 from repro.errors import DiscoveryError
 
@@ -174,7 +174,7 @@ def _eval_effect_term(term, read, bits):
         return term[1]
     args = [_eval_effect_term(arg, read, bits) for arg in term[1:]]
     if all(_is_int(a) for a in args):
-        if term[0] in ("div", "mod") and args[1] % (1 << bits) == 0:
+        if term[0] in DIVISOR_PRIMS and args[1] % (1 << bits) == 0:
             raise InterpFail("division by zero")
         return TERM_PRIMS[term[0]][1](bits, *args)
     if term[0] == "add" and len(args) == 2:

@@ -26,16 +26,14 @@ ResilientMachine and CachingMachine all implement it).  Every layer
 shares its counters with its clones, and the probe cache is shared too,
 so the primary connection's counters already cover the whole pool.
 :class:`ProbeScheduler` runs ordered maps over the pool and records
-observability counters (workers, tasks, failures, peak in-flight depth,
-per-phase wall clock).
+observability counters (workers, tasks, failures, peak in-flight depth).
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.counters import Counters
 
@@ -50,7 +48,6 @@ class SchedulerStats(Counters):
     task_failures: int = 0
     batches: int = 0
     max_in_flight: int = 0
-    phase_seconds: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -133,11 +130,13 @@ class ProbeScheduler:
             self._executor = None
 
     def map(self, fn, items, phase=None):
-        """Run ``fn(item, connection)`` over *items*; ordered results."""
+        """Run ``fn(item, connection)`` over *items*; ordered results.
+
+        *phase* names the batch for tracing wrappers, which label their
+        spans with it; the scheduler itself does not read it."""
         items = list(items)
         self.stats.batches += 1
         self.stats.tasks += len(items)
-        start = time.perf_counter()
         if self.workers <= 1:
             results = [
                 self._run_one(fn, index, item, self.pool.primary)
@@ -156,11 +155,6 @@ class ProbeScheduler:
             ]
             results = [result for future in futures for result in future.result()]
             results.sort(key=lambda result: result.index)
-        if phase:
-            elapsed = time.perf_counter() - start
-            self.stats.phase_seconds[phase] = (
-                self.stats.phase_seconds.get(phase, 0.0) + elapsed
-            )
         return results
 
     def map_values(self, fn, items, phase=None):

@@ -18,26 +18,12 @@ from __future__ import annotations
 import random
 
 from repro import wordops
+from repro.beg.ir import OPERATOR_TABLE
 from repro.beg.spec import MachineSpec, OpRule
 from repro.discovery import probe
 from repro.discovery.asmmodel import DImm, DMem, DReg, DSym, Slot, instantiate, template_slots
 from repro.discovery.reverse_interp import interpret_region, opkey
 from repro.errors import AssemblerError, DiscoveryError, LinkerError
-
-_IR_OF_C = {
-    "+": "Plus",
-    "-": "Minus",
-    "*": "Mult",
-    "/": "Div",
-    "%": "Mod",
-    "&": "And",
-    "|": "Or",
-    "^": "Xor",
-    "<<": "Shl",
-    ">>": "Shr",
-}
-_IR_UNARY = {"-": "Neg", "~": "Not"}
-
 
 class Synthesizer:
     def __init__(self, engine, addr_map, extraction, enq, log=None, seed=0x5EED):
@@ -301,81 +287,80 @@ class Synthesizer:
     # -- operator rules ---------------------------------------------------------
 
     def _op_rules(self, spec):
-        for c_op, ir_op in _IR_OF_C.items():
-            sample = self._rule_sample("binary", c_op, "a=b@c")
+        binary = [row for row in OPERATOR_TABLE if row.arity == 2]
+        for row in binary:
+            sample = self._rule_sample("binary", row.spelling, "a=b@c")
             if sample is None:
-                spec.notes.append(f"no usable sample for {ir_op}")
+                spec.notes.append(f"no usable sample for {row.ir}")
                 continue
             try:
-                rule = self._build_rule(sample, ir_op)
+                rule = self._build_rule(sample, row.ir)
             except DiscoveryError as exc:
-                spec.notes.append(f"{ir_op}: {exc}")
+                spec.notes.append(f"{row.ir}: {exc}")
                 continue
-            self._verify_rule(rule, sample, c_op)
-            if self._probe_rule(spec, rule) and self._runtime_check_rule(spec, rule, c_op):
-                spec.rules[ir_op] = rule
+            self._verify_rule(rule, sample, row)
+            if self._probe_rule(spec, rule) and self._runtime_check_rule(spec, rule, row):
+                spec.rules[row.ir] = rule
                 continue
             # Register-constrained scratch positions (the x86 shift count
             # must be %ecx): fall back to literal scratch registers.
-            literal = self._build_rule(sample, ir_op, keep_scratch_literal=True)
+            literal = self._build_rule(sample, row.ir, keep_scratch_literal=True)
             literal.verified = rule.verified
-            if self._probe_rule(spec, literal) and self._runtime_check_rule(spec, literal, c_op):
-                spec.rules[ir_op] = literal
+            if self._probe_rule(spec, literal) and self._runtime_check_rule(spec, literal, row):
+                spec.rules[row.ir] = literal
             else:
-                spec.notes.append(f"{ir_op}: template failed probing")
+                spec.notes.append(f"{row.ir}: template failed probing")
         # Operators with no usable sample fall back to the Combiner's
         # exhaustive combination search over the semantics table.
-        missing = [
-            (c_op, ir_op)
-            for c_op, ir_op in _IR_OF_C.items()
-            if ir_op not in spec.rules
-        ]
+        missing = [row for row in binary if row.ir not in spec.rules]
         if missing:
             from repro.discovery.combiner import Combiner
 
             combiner = Combiner(self.extraction.semantics, bits=self.bits, seed=self.seed)
-            for c_op, ir_op in missing:
-                rule = combiner.as_rule(ir_op)
+            for row in missing:
+                rule = combiner.as_rule(row.ir)
                 if rule is None:
                     continue
                 if self._probe_rule(spec, rule) and self._runtime_check_rule(
-                    spec, rule, c_op
+                    spec, rule, row
                 ):
-                    spec.rules[ir_op] = rule
-                    spec.notes.append(f"{ir_op}: rule found by the Combiner")
-        for c_op, ir_op in _IR_UNARY.items():
-            sample = self._rule_sample("unary", c_op, f"a={c_op}b")
+                    spec.rules[row.ir] = rule
+                    spec.notes.append(f"{row.ir}: rule found by the Combiner")
+        for row in OPERATOR_TABLE:
+            if row.arity != 1:
+                continue
+            sample = self._rule_sample("unary", row.spelling, f"a={row.spelling}b")
             if sample is None:
                 continue
             try:
-                rule = self._build_rule(sample, ir_op, unary=True)
+                rule = self._build_rule(sample, row.ir, unary=True)
             except DiscoveryError as exc:
-                spec.notes.append(f"{ir_op}: {exc}")
+                spec.notes.append(f"{row.ir}: {exc}")
                 continue
-            self._verify_rule(rule, sample, c_op, unary=True)
-            if self._probe_rule(spec, rule) and self._runtime_check_rule(
-                spec, rule, c_op, unary=True
-            ):
-                spec.rules[ir_op] = rule
+            self._verify_rule(rule, sample, row)
+            if self._probe_rule(spec, rule) and self._runtime_check_rule(spec, rule, row):
+                spec.rules[row.ir] = rule
 
     def _imm_rules(self, spec):
-        for c_op, ir_op in _IR_OF_C.items():
-            sample = self._rule_sample("binary", c_op, "a=b@K")
+        for row in OPERATOR_TABLE:
+            if row.arity != 2:
+                continue
+            sample = self._rule_sample("binary", row.spelling, "a=b@K")
             if sample is None:
                 continue
             try:
-                rule = self._build_rule(sample, ir_op, imm_right=True)
+                rule = self._build_rule(sample, row.ir, imm_right=True)
             except DiscoveryError:
                 continue
             if "imm" not in rule.slots_used():
                 continue
-            self._verify_rule(rule, sample, c_op)
+            self._verify_rule(rule, sample, row)
             if not self._probe_rule(spec, rule):
                 continue
-            if not self._runtime_check_rule(spec, rule, c_op, imm=sample_konst(sample)):
+            if not self._runtime_check_rule(spec, rule, row, imm=sample_konst(sample)):
                 continue
             rule.imm_range = self._rule_imm_range(spec, sample, rule)
-            spec.imm_rules[ir_op] = rule
+            spec.imm_rules[row.ir] = rule
 
     def _rule_sample(self, kind, c_op, shape):
         for sample in self.corpus.usable_samples(kind=kind):
@@ -526,35 +511,31 @@ class Synthesizer:
 
     # -- the Combiner's semantic verification -----------------------------------
 
-    def _verify_rule(self, rule, sample, c_op, unary=False):
+    def _verify_rule(self, rule, sample, row):
         """Interpret the sample region under fresh initialisation values;
-        the composed semantics must match the IR operator (3 random
-        vectors)."""
+        the composed semantics must match the IR operator *row* (3
+        random vectors)."""
         from repro.discovery import values as mc
 
         checks = 0
         for _ in range(8):
-            if unary:
+            if row.arity == 1:
                 b = mc.choose_single(self.rng, self.bits)
                 values = {"a": 11, "b": b, "c": 7}
-                expected = _apply_c_op(c_op, b, None, self.bits, unary=True)
+                expected = row.word(b, self.bits)
             else:
                 try:
                     b, c = mc.choose_pair(
                         self.rng,
                         self.bits,
-                        constraint=_op_constraint(c_op),
-                        op=c_op,
+                        constraint=_op_constraint(row),
+                        op=row.spelling,
                     )
                 except RuntimeError:
                     continue
-                konst = sample_konst(sample)
-                if rule.right_imm:
-                    values = {"a": 11, "b": b, "c": c}
-                    expected = _apply_c_op(c_op, b, konst, self.bits)
-                else:
-                    values = {"a": 11, "b": b, "c": c}
-                    expected = _apply_c_op(c_op, b, c, self.bits)
+                values = {"a": 11, "b": b, "c": c}
+                right = sample_konst(sample) if rule.right_imm else c
+                expected = row.word(b, right, self.bits)
             try:
                 state = interpret_region(
                     _with_values(sample, values), self.sem, self.addr_map, self.bits
@@ -654,7 +635,7 @@ class Synthesizer:
         ">>": (-3907, 3),
     }
 
-    def _runtime_check_rule(self, spec, rule, c_op, unary=False, imm=None):
+    def _runtime_check_rule(self, spec, rule, row, imm=None):
         """Execute the instantiated rule on the target and compare with
         the intermediate-code operator -- the Combiner's last word."""
         frame = spec.frame
@@ -668,11 +649,11 @@ class Synthesizer:
             regs_needed += 1
         if len(pool) < regs_needed + 1:
             return True
-        left, right = self._CHECK_VECTORS.get(c_op, (60, 23))
+        left, right = self._CHECK_VECTORS.get(row.spelling, (60, 23))
         if imm is not None:
             right = imm
-        expected = _apply_c_op(c_op, left, right, self.bits, unary=unary)
-        expected = wordops.to_signed(wordops.mask(expected, self.bits), self.bits)
+        operands = (left, right)[: row.arity]
+        expected = wordops.to_signed(row.word(*operands, self.bits), self.bits)
 
         mapping = {}
         index = 0
@@ -941,27 +922,9 @@ def _with_values(sample, values):
     return clone
 
 
-def _apply_c_op(c_op, left, right, bits, unary=False):
-    if unary:
-        return wordops.neg(left, bits) if c_op == "-" else wordops.bit_not(left, bits)
-    fns = {
-        "+": wordops.add,
-        "-": wordops.sub,
-        "*": wordops.mul,
-        "/": wordops.sdiv,
-        "%": wordops.smod,
-        "&": lambda a, b, w: a & b,
-        "|": lambda a, b, w: a | b,
-        "^": lambda a, b, w: a ^ b,
-        "<<": lambda a, b, w: wordops.shl(a, b % 32, w),
-        ">>": lambda a, b, w: wordops.shr_arith(a, b % 32, w),
-    }
-    return fns[c_op](left, right, bits)
-
-
-def _op_constraint(c_op):
-    if c_op in ("/", "%"):
+def _op_constraint(row):
+    if row.divisor:
         return lambda x, y: x > y * 3 and x % y != 0
-    if c_op in ("<<", ">>"):
+    if row.shift:
         return lambda x, y: 2 <= y <= 8 and x > 300
     return None

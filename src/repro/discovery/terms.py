@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from repro.discovery.primitives import TERM_PRIMS
+from repro.discovery.primitives import DIVISOR_PRIMS, TERM_PRIMS
 
 #: extra constants terms may mention (the paper's shortest-interpretation
 #: rule keeps this list tiny)
@@ -150,7 +150,7 @@ def eval_term(term, leaf_value, bits):
         return term[1]
     arity, fn = TERM_PRIMS[kind]
     args = [eval_term(arg, leaf_value, bits) for arg in term[1:]]
-    if kind in ("div", "mod") and args[1] % (1 << bits) == 0:
+    if kind in DIVISOR_PRIMS and args[1] % (1 << bits) == 0:
         raise TermEvalError("division by zero")
     return fn(bits, *args)
 

@@ -11,6 +11,7 @@ combinations of the primitives) yield the same result."
 from __future__ import annotations
 
 from repro import wordops
+from repro.beg.ir import operator_spelled
 
 #: candidate binary interpretations that must be told apart (both operand
 #: orders for the asymmetric ones)
@@ -45,20 +46,6 @@ def _candidate_results(b, c, bits):
     return results
 
 
-_OP_NAMES = {
-    "+": "add",
-    "-": "sub",
-    "*": "mul",
-    "/": "div",
-    "%": "mod",
-    "&": "and",
-    "|": "or",
-    "^": "xor",
-    "<<": "shl",
-    ">>": "shr",
-}
-
-
 def values_distinct(b, c, bits=32, op=None):
     """Would (b, c) make the sample's operator unambiguous?
 
@@ -72,7 +59,8 @@ def values_distinct(b, c, bits=32, op=None):
     if op is None:
         return True
     results = dict(_candidate_results(b, c, bits))
-    name = _OP_NAMES.get(op, op)
+    row = operator_spelled(op)
+    name = row.stem if row is not None else op
     if name not in results:
         return False
     target = results[name]

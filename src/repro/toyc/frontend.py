@@ -37,24 +37,6 @@ _KEYWORDS = {"var", "print", "if", "then", "else", "end", "while", "do"}
 
 _PRECEDENCE = [["|"], ["^"], ["&"], ["<<", ">>"], ["+", "-"], ["*", "/", "%"]]
 
-_RELATIONS = {
-    "<": "BranchLT",
-    "<=": "BranchLE",
-    ">": "BranchGT",
-    ">=": "BranchGE",
-    "==": "BranchEQ",
-    "!=": "BranchNE",
-}
-
-_NEGATED = {
-    "BranchLT": "BranchGE",
-    "BranchLE": "BranchGT",
-    "BranchGT": "BranchLE",
-    "BranchGE": "BranchLT",
-    "BranchEQ": "BranchNE",
-    "BranchNE": "BranchEQ",
-}
-
 
 def tokenize(source):
     tokens = []
@@ -154,11 +136,11 @@ class Parser:
             return
         if tok[0] == "kw" and tok[1] == "if":
             self.advance()
-            op, left, right = self.condition()
+            negation, left, right = self.condition()
             self.expect("kw", "then")
             skip = self.fresh_label("else")
             endif = self.fresh_label("endif")
-            out.append(ir.Branch(_NEGATED[op], left, right, skip))
+            out.append(ir.Branch(negation, left, right, skip))
             while not (self.tok[0] == "kw" and self.tok[1] in ("else", "end")):
                 self.statement(out)
             if self.accept("kw", "else"):
@@ -176,9 +158,9 @@ class Parser:
             top = self.fresh_label("loop")
             done = self.fresh_label("done")
             out.append(ir.Label(top))
-            op, left, right = self.condition()
+            negation, left, right = self.condition()
             self.expect("kw", "do")
-            out.append(ir.Branch(_NEGATED[op], left, right, done))
+            out.append(ir.Branch(negation, left, right, done))
             while not (self.tok[0] == "kw" and self.tok[1] == "end"):
                 self.statement(out)
             self.expect("kw", "end")
@@ -195,27 +177,17 @@ class Parser:
         raise CompilerError(f"unexpected token {tok[1]!r}", tok[2])
 
     def condition(self):
+        """``left REL right`` as (the IR name of REL's negation, left,
+        right): the statements branch around the body when it fails."""
         left = self.expression()
         tok = self.expect("op")
-        if tok[1] not in _RELATIONS:
+        relation = ir.relation_named(tok[1])
+        if relation is None:
             raise CompilerError(f"expected a comparison, found {tok[1]!r}", tok[2])
         right = self.expression()
-        return _RELATIONS[tok[1]], left, right
+        return ir.relation_named(relation.negation).branch, left, right
 
     # -- expressions -------------------------------------------------------------
-
-    _IR_BINOP = {
-        "+": "Plus",
-        "-": "Minus",
-        "*": "Mult",
-        "/": "Div",
-        "%": "Mod",
-        "&": "And",
-        "|": "Or",
-        "^": "Xor",
-        "<<": "Shl",
-        ">>": "Shr",
-    }
 
     def expression(self, level=0):
         if level >= len(_PRECEDENCE):
@@ -224,17 +196,18 @@ class Parser:
         while self.tok[0] == "op" and self.tok[1] in _PRECEDENCE[level]:
             op = self.advance()[1]
             right = self.expression(level + 1)
-            left = ir.BinOp(self._IR_BINOP[op], left, right)
+            left = ir.BinOp(ir.operator_spelled(op).ir, left, right)
         return left
 
     def unary(self):
         tok = self.tok
-        if tok[0] == "op" and tok[1] in ("-", "~"):
+        row = ir.operator_spelled(tok[1], 1) if tok[0] == "op" else None
+        if row is not None:
             self.advance()
             operand = self.unary()
             if tok[1] == "-" and isinstance(operand, ir.Const):
-                return ir.Const(-operand.value)
-            return ir.UnOp("Neg" if tok[1] == "-" else "Not", operand)
+                return ir.Const(-operand.value)  # a negative literal
+            return ir.UnOp(row.ir, operand)
         if tok[0] == "num":
             self.advance()
             return ir.Const(tok[1])

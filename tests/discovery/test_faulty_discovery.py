@@ -168,17 +168,16 @@ class _OutageInSynthesis(ArchitectureDiscovery):
 
 @pytest.fixture(scope="module")
 def synthesis_outages():
-    """Two equal vax runs whose synthesis loses its 20th and 21st
-    executions.  With one retry the outage outlasts the resilience
-    layer; a Synthesizer that took the failure for a wrong rule dropped
-    the Neg rule and completed with another spec.  One worker, as in
-    every test that compares checkpoint bytes: with more, the mutation
-    engine's shared value-set memo fills in thread completion order."""
+    """Three equal vax runs, two at one worker and one at four, whose
+    synthesis loses its 27th and 28th executions.  With one retry the
+    outage outlasts the resilience layer; a Synthesizer that took the
+    failure for a wrong rule dropped that rule and completed with
+    another spec.  Synthesis has probed immediate ranges by then."""
     runs = []
-    for _ in range(2):
-        machine = _ExecuteOutage(RemoteMachine("vax"), start=20, length=2)
+    for workers in (1, 1, 4):
+        machine = _ExecuteOutage(RemoteMachine("vax"), start=27, length=2)
         driver = _OutageInSynthesis(
-            machine, workers=1, resilience=ResilienceConfig(max_retries=1)
+            machine, workers=workers, resilience=ResilienceConfig(max_retries=1)
         )
         with pytest.raises(DiscoveryInterrupted) as excinfo:
             driver.run()
@@ -187,18 +186,26 @@ def synthesis_outages():
     return runs
 
 
-def test_synthesis_outage_interrupts_and_resumes_to_the_pinned_spec(synthesis_outages):
+def test_synthesis_outage_interrupts_and_resumes_to_the_pinned_spec(
+    synthesis_outages, vax_report
+):
+    """The resumed run redoes synthesis whole and counts only its own
+    probes: the interrupted attempt's range probes are not added again."""
     machine, interrupted, _body = synthesis_outages[0]
     assert interrupted.phase == "synthesis"
     assert isinstance(interrupted.cause, TargetError)
     assert "synthesis" not in interrupted.checkpoint.completed
+    assert interrupted.checkpoint.report.probe_log is None
     machine.armed = False
     report = ArchitectureDiscovery(machine).run(resume=interrupted.checkpoint)
     spec_sha = hashlib.sha256(report.spec.render_beg().encode()).hexdigest()
     assert spec_sha == PINNED["vax"][0]
+    assert report.probe_log.range_probes == vax_report.probe_log.range_probes > 0
 
 
 def test_equal_interrupted_runs_freeze_to_equal_bytes(synthesis_outages):
-    """An interrupted checkpoint carries no wall-clock time."""
-    (_, _, first), (_, _, second) = synthesis_outages
+    """An interrupted checkpoint carries no wall-clock time, and its
+    bytes do not depend on the worker count."""
+    (_, _, first), (_, _, second), (_, _, four_workers) = synthesis_outages
     assert first == second
+    assert four_workers == first

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.beg.ir import operator_spelled
 from repro.discovery import values as mc
-from repro.discovery.generator import BINARY_OPS, BINARY_SHAPES
+from repro.discovery.generator import BINARY_ROWS, BINARY_SHAPES
 from repro.discovery.samples import make_init_source, make_main_source
 from tests.discovery.conftest import sample_named
 
@@ -82,7 +83,7 @@ class TestMonteCarloValues:
         assert 2 <= c <= 8
         assert b > 300
 
-    @pytest.mark.parametrize("op", BINARY_OPS)
+    @pytest.mark.parametrize("op", [row.spelling for row in BINARY_ROWS])
     def test_distinctness_separates_the_operator(self, op):
         rng = random.Random(1234)
         constraint = None
@@ -93,7 +94,7 @@ class TestMonteCarloValues:
         else:
             b, c = mc.choose_pair(rng, 32, constraint=constraint, op=op)
         results = dict(mc._candidate_results(b, c, 32))
-        name = mc._OP_NAMES[op]
+        name = operator_spelled(op).stem
         target = results[name]
         clashes = [n for n, v in results.items() if v == target and n != name]
         assert not clashes

@@ -9,10 +9,11 @@ reference, on the shapes and samples the real targets produce.
 
 import pytest
 
+from repro.beg.ir import operator_spelled
 from repro.discovery import likelihood
 from repro.discovery import mutation as mut
 from repro.discovery.asmmodel import DReg
-from repro.discovery.primitives import C_OP_PRIM, NAME_HINTS
+from repro.discovery.primitives import NAME_HINTS
 from repro.discovery.dfg import build_dfg
 from repro.discovery.graphmatch import match_binary
 from repro.discovery.reverse_interp import ReverseInterpreter, hypotheses
@@ -74,11 +75,8 @@ def ref_score(sample, instr, effects, role):
     for _target, term in effects:
         ref_prims_used(term, prims)
         total_size += term_size(term)
-    op_prim = C_OP_PRIM.get(sample.op or "", None)
-    if sample.op == "-" and sample.kind == "unary":
-        op_prim = "neg"
-    if sample.op == "~":
-        op_prim = "not"
+    row = operator_spelled(sample.op, 1 if sample.kind == "unary" else 2)
+    op_prim = row.prim if row is not None else None
     identity = [t[0] in ("val", "ireg") for _target, t in effects]
     expansion = set(likelihood.EXPANSIONS.get(op_prim, (op_prim,) if op_prim else ()))
     m = 0.0

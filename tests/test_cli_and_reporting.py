@@ -148,6 +148,8 @@ class TestReporting:
         assert summary["retry"] == report.retry_stats.as_dict()
         assert summary["scheduler"] == report.scheduler_stats.as_dict()
         assert summary["extraction"] == report.extraction_stats.as_dict()
+        assert summary["probe"] == report.probe_log.as_dict()
+        assert "phase_seconds" not in summary["scheduler"]
         assert set(summary["mutation"]) == {"attempted", "succeeded", "runs"}
         assert "fault" not in summary and "cache" not in summary
         assert summary["quarantined"] == report.quarantined == []

@@ -11,6 +11,7 @@ from repro.discovery import portable
 from repro.discovery.cache import CacheStats, GcStats
 from repro.discovery.extract_pool import ExtractionStats
 from repro.discovery.mutation import MutationStats
+from repro.discovery.probe import ProbeLog
 from repro.discovery.resilience import RetryStats
 from repro.discovery.scheduler import SchedulerStats
 from repro.machines.faults import FaultStats
@@ -26,6 +27,7 @@ DERIVED = {
     MutationStats: (),
     ExtractionStats: ("memo_hit_rate", "budget_unspent"),
     GcStats: (),
+    ProbeLog: (),
 }
 
 _BY_NAME = pytest.mark.parametrize("cls", list(DERIVED), ids=lambda cls: cls.__name__)
