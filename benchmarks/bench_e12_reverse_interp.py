@@ -2,32 +2,20 @@
 
 import pytest
 
-from benchmarks.conftest import TARGETS, full_report
+from benchmarks.conftest import TARGETS, extract_again, full_report
 
-from repro.discovery.reverse_interp import (
-    ReverseInterpreter,
-    check_sample,
-    interpret_region,
-)
+from repro.discovery.driver import RI_BUDGET
+from repro.discovery.reverse_interp import check_sample, interpret_region
 
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_extract_all_semantics(benchmark, target):
-    """The whole extraction phase, from preprocessed samples."""
+    """The whole extraction phase, from preprocessed samples, through the
+    engine discovery runs (graph matching included)."""
     report = full_report(target)
-
-    def run():
-        saved = {s.name: s.discarded for s in report.corpus.samples}
-        try:
-            interpreter = ReverseInterpreter(
-                report.corpus, report.addr_map, report.enquire.word_bits
-            )
-            return interpreter.extract()
-        finally:
-            for sample in report.corpus.samples:
-                sample.discarded = saved[sample.name]
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
+    result = benchmark.pedantic(
+        extract_again, args=(report, RI_BUDGET), rounds=1, iterations=1, warmup_rounds=0
+    )
     benchmark.extra_info["interpretations"] = result.interpretations_tried
     benchmark.extra_info["instructions"] = len(result.semantics)
     assert len(result.semantics) >= 20

@@ -9,30 +9,17 @@ number of interpretations tried.
 
 import pytest
 
-from benchmarks.conftest import full_report
-
-from repro.discovery.reverse_interp import ReverseInterpreter
+from benchmarks.conftest import extract_again, full_report
 
 #: targets whose search-space shapes differ most
 ABLATION_TARGETS = ("mips", "vax")
 
+#: interpretations each arm may spend, across all shards
+BUDGET = 120_000
+
 
 def _extract(report, use_likelihood):
-    # Extraction discards samples it cannot solve; snapshot the corpus
-    # state so the shared report is unharmed.
-    saved = {s.name: s.discarded for s in report.corpus.samples}
-    try:
-        interpreter = ReverseInterpreter(
-            report.corpus,
-            report.addr_map,
-            report.enquire.word_bits,
-            use_likelihood=use_likelihood,
-            budget=120_000,
-        )
-        return interpreter.extract()
-    finally:
-        for sample in report.corpus.samples:
-            sample.discarded = saved[sample.name]
+    return extract_again(report, BUDGET, use_likelihood=use_likelihood)
 
 
 @pytest.mark.parametrize("target", ABLATION_TARGETS)

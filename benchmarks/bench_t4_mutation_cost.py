@@ -84,7 +84,9 @@ def test_e8_implicit_argument_detection_x86_div(benchmark):
         from repro.discovery.preprocess import RegionInfo
 
         info = RegionInfo()
-        info.call_like = preprocessor._find_call_like(sample)
+        info.call_like = preprocessor._find_call_like(
+            sample, preprocessor._outside_labels(sample)
+        )
         sample.info = info
         sample.region_original = [i.clone() for i in sample.region]
         preprocessor._split_live_ranges(sample, info)

@@ -12,6 +12,7 @@ from benchmarks import _emit
 from repro.machines.machine import RemoteMachine
 from repro.discovery import probe
 from repro.discovery.driver import ArchitectureDiscovery
+from repro.discovery.extract_pool import ExtractionEngine
 from repro.discovery.generator import SampleGenerator
 from repro.discovery.lexer import extract_region
 from repro.discovery.mutation import MutationEngine
@@ -47,6 +48,25 @@ def full_report(target):
     if target not in _REPORTS:
         _REPORTS[target] = ArchitectureDiscovery(RemoteMachine(target)).run()
     return _REPORTS[target]
+
+
+def extract_again(report, budget, use_likelihood=True):
+    """Reverse-interpret a finished report's corpus again, the way
+    discovery does: prepare, graph roles, then extract, in one process.
+    The engine discards the samples it cannot solve, so every sample's
+    ``discarded`` is restored afterwards and the cached report is
+    unharmed."""
+    saved = {s.name: s.discarded for s in report.corpus.samples}
+    engine = ExtractionEngine(procs=1)
+    try:
+        engine.prepare(
+            report.corpus, report.addr_map, report.enquire.word_bits,
+            use_likelihood=use_likelihood,
+        )
+        return engine.extract(engine.graph_roles(), budget)
+    finally:
+        for sample in report.corpus.samples:
+            sample.discarded = saved[sample.name]
 
 
 def front_pipeline(target, seed=11):

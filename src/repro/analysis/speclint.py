@@ -31,7 +31,8 @@ import re
 
 from repro.analysis.diagnostics import DiagnosticSet
 from repro.beg.ir import BINARY_OPS, RELATIONS, UNARY_OPS
-from repro.discovery.asmmodel import DReg, DSym, Slot, template_slots
+from repro.discovery.asmmodel import DReg, DSym, Slot, operand_part, template_slots
+from repro.discovery.reverse_interp import parse_opkey
 from repro.discovery.terms import term_leaves
 
 #: slots a rule template may consume without defining them first
@@ -59,7 +60,7 @@ class _SpecLinter:
         self.model = model
         self.out = DiagnosticSet()
         self.allocatable = set(spec.allocatable or ())
-        self._keys = [_parse_key(key) for key in (spec.semantics or {})]
+        self._keys = [parse_opkey(key) for key in (spec.semantics or {})]
 
     def add(self, code, message, where=""):
         self.out.add(code, message, where=where, target=self.spec.target)
@@ -327,7 +328,7 @@ class _SpecLinter:
             if isinstance(op, Slot):
                 pattern.append(None)
             else:
-                pattern.append(_part_of(op))
+                pattern.append(operand_part(op))
         targets = tuple(
             op.name for op in instr.operands if isinstance(op, DSym) and not op.prefix
         )
@@ -568,35 +569,6 @@ class _SpecLinter:
 
 
 # -- helpers ------------------------------------------------------------
-
-
-def _parse_key(key):
-    """Split a semantics-table key into (mnemonic, operand parts, call
-    targets) -- the inverse of ``opkey``."""
-    body, _at, targets = key.partition("@")
-    mnemonic, _paren, parts = body.partition("(")
-    parts = parts.rstrip(")")
-    return (
-        mnemonic,
-        tuple(parts.split(",")) if parts else (),
-        tuple(targets.split(",")) if targets else (),
-    )
-
-
-def _part_of(op):
-    """The signature part for one concrete operand (mirrors
-    DInstr.signature)."""
-    from repro.discovery.asmmodel import DImm, DMem
-
-    if isinstance(op, DReg):
-        return "r"
-    if isinstance(op, DImm):
-        return "i"
-    if isinstance(op, DMem):
-        return "m:" + op.mode_id()
-    if isinstance(op, DSym):
-        return "s"
-    return "?"
 
 
 def _def_use(effects):

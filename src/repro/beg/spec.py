@@ -84,10 +84,6 @@ class MachineSpec:
     #: speclint findings recorded against this description (dicts in
     #: Diagnostic.to_dict() form; filled by the driver's lint phase)
     diagnostics: list = field(default_factory=list)
-    #: always {}: phase timings live on the DiscoveryReport only.  The
-    #: field stays because the checkpoint codec encodes every field, so
-    #: removing it would change the bytes of every checkpoint.
-    phase_timings: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------
 

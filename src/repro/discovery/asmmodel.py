@@ -194,19 +194,21 @@ class DInstr:
     def signature(self):
         """Operand-shape signature distinguishing same-mnemonic forms
         (the paper indexes instructions by signature, section 5.2)."""
-        parts = []
-        for op in self.operands:
-            if isinstance(op, DReg):
-                parts.append("r")
-            elif isinstance(op, DImm):
-                parts.append("i")
-            elif isinstance(op, DMem):
-                parts.append("m:" + op.mode_id())
-            elif isinstance(op, DSym):
-                parts.append("s")
-            else:
-                parts.append("?")
-        return f"{self.mnemonic}({','.join(parts)})"
+        parts = ",".join(operand_part(op) for op in self.operands)
+        return f"{self.mnemonic}({parts})"
+
+
+def operand_part(op):
+    """One concrete operand's part of :meth:`DInstr.signature`."""
+    if isinstance(op, DReg):
+        return "r"
+    if isinstance(op, DImm):
+        return "i"
+    if isinstance(op, DMem):
+        return "m:" + op.mode_id()
+    if isinstance(op, DSym):
+        return "s"
+    return "?"
 
 
 # -- raw line splitting (pre-syntax-discovery) --------------------------

@@ -26,7 +26,7 @@ from repro import wordops
 from repro.beg.ir import operator_named
 from repro.beg.spec import OpRule
 from repro.discovery.asmmodel import DImm, DMem, DReg, Slot
-from repro.discovery.terms import TermEvalError, eval_term
+from repro.discovery.reverse_interp import InterpFail, eval_term
 
 def _vectors(row, rng, bits):
     """Value vectors per operator (nonzero divisors, small shift counts)."""
@@ -170,7 +170,7 @@ class Combiner:
                     value = self._step(shape, choice, env)
                     env[out] = value
                     out_cell = out
-            except TermEvalError:
+            except InterpFail:
                 return False
             if env.get(out_cell) != row.word(*operands, bits):
                 return False
@@ -178,24 +178,20 @@ class Combiner:
 
     def _step(self, shape, choice, env):
         """Evaluate one instruction with its inputs wired to env cells."""
-        (target, term), = shape.op_sem.effects
+        ((_target, term),) = shape.op_sem.effects
         example = shape.op_sem.example
         cell_of_position = dict(zip(shape.input_positions, choice))
 
-        def leaf_value(leaf):
+        def read(leaf):
             if leaf[0] == "val":
                 operand = example.operands[leaf[1]]
                 if isinstance(operand, DReg):
                     return env[cell_of_position[leaf[1]]]
                 if isinstance(operand, DImm):
                     return wordops.mask(operand.value, self.bits)
-                raise TermEvalError(f"unusable leaf {operand!r}")
-            if leaf[0] == "const":
-                return leaf[1]
-            raise TermEvalError(f"unknown leaf {leaf!r}")
+            raise InterpFail(f"unusable leaf {leaf!r}")
 
-        del target
-        return eval_term(term, leaf_value, self.bits)
+        return eval_term(term, read, self.bits)
 
     # -- packaging -------------------------------------------------------
 

@@ -84,6 +84,10 @@ _QUARANTINE_ERRORS = (DiscoveryError, TargetError)
 #: per-sample completion records per durable commit in the fan-out phases
 CHECKPOINT_EVERY = 8
 
+#: interpretations the reverse-interpretation search may spend, split
+#: across the extraction shards
+RI_BUDGET = 60_000
+
 
 @dataclass
 class PhaseTiming:
@@ -289,8 +293,6 @@ class ArchitectureDiscovery:
         self,
         machine,
         seed=1997,
-        ri_budget=60_000,
-        use_likelihood=True,
         resilience=None,
         workers=None,
         cache=None,
@@ -341,8 +343,6 @@ class ArchitectureDiscovery:
         # resumed run counts only the probes it issues itself.
         self.probe_log = probe.ProbeLog()
         self.seed = seed
-        self.ri_budget = ri_budget
-        self.use_likelihood = use_likelihood
         # -- crash durability ------------------------------------------
         # checkpoint_every: per-sample completion records per durable
         # commit inside the fan-out phases (1 = exact sample boundary).
@@ -696,26 +696,19 @@ class ArchitectureDiscovery:
     def _phase_addresses(self, report, state):
         report.addr_map = discover_address_map(report.corpus)
 
-    def _phase_graphmatch(self, report, state):
-        # The engine installs the worker context here -- after mutation
+    def _prepare_extractor(self, report):
+        # The engine installs the worker context -- after mutation
         # analysis fully annotated the samples, before the first fan-out
         # -- so forked workers inherit the preprocessed corpus.
-        self.extractor.prepare(
-            report.corpus,
-            report.addr_map,
-            report.enquire.word_bits,
-            use_likelihood=self.use_likelihood,
-        )
+        self.extractor.prepare(report.corpus, report.addr_map, report.enquire.word_bits)
+
+    def _phase_graphmatch(self, report, state):
+        self._prepare_extractor(report)
         state["graph_roles"] = self.extractor.graph_roles()
 
     def _phase_reverse_interp(self, report, state):
         if not self.extractor._prepared:  # resumed past graph matching
-            self.extractor.prepare(
-                report.corpus,
-                report.addr_map,
-                report.enquire.word_bits,
-                use_likelihood=self.use_likelihood,
-            )
+            self._prepare_extractor(report)
         # Shard outcomes are the phase's completion records: each solved
         # shard commits, and resume hands the already-solved ones back so
         # only the unsolved suffix re-runs.  Shards are seeded per-index,
@@ -724,7 +717,7 @@ class ArchitectureDiscovery:
         done = {o.index: o for o in progress.payloads()}
         report.extraction = self.extractor.extract(
             state.get("graph_roles", {}),
-            self.ri_budget,
+            RI_BUDGET,
             completed=done,
             on_shard=lambda outcome: progress.record(
                 f"shard-{outcome.index:05d}", outcome

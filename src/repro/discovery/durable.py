@@ -102,8 +102,6 @@ def run_config(discovery):
         "schema": CHECKPOINT_SCHEMA,
         "target": discovery.machine.target,
         "seed": discovery.seed,
-        "ri_budget": discovery.ri_budget,
-        "use_likelihood": discovery.use_likelihood,
         "workers": discovery.workers,
         "adaptive_workers": getattr(discovery, "adaptive_workers", False),
         "extract_procs": discovery.extractor.procs,

@@ -22,17 +22,20 @@ serialised by the GIL.  This module fans them out over a
 - Results merge in shard-index order.  A sample that failed inside its
   shard is discarded: its unknowns are closed within the shard, so no
   other shard's semantics could ever solve it.
-- The global ``ri_budget`` is split across shards proportionally to
-  shard size (remainder to the earliest shards), and the split is
-  accounted in the stats.
+- The global interpretation budget is split across shards
+  proportionally to shard size (remainder to the earliest shards).
+  Each shard's solver holds its share and counts what it spends; the
+  stats carry the total and the sum of the spends.
 - ``hypotheses()`` candidate lists are memoised per-process by
   instruction signature shape (:func:`hypothesis_shape_key`) and, for
   parent-solved shards, speculatively enumerated on the pool a bounded
   lookahead ahead of their solve (:class:`HypothesisPrefetcher`).
 
-At ``procs=1`` every stage runs inline through the same code paths, so
-the single-process run is the plain in-process extraction it always
-was -- identical output, same budget policy.
+Every shard, dispatched or inline, is solved by one function,
+:func:`_solve_shard`, over one :class:`ReverseInterpreter`.  At
+``procs=1`` every stage runs inline through the same code paths, so the
+single-process run is the plain in-process extraction -- identical
+output, same budget policy.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from repro.counters import Counters
 from repro.discovery.dfg import build_dfg
 from repro.discovery.graphmatch import match_binary
 from repro.discovery.reverse_interp import (
-    BudgetPool,
     ExtractionResult,
     HypothesisMemo,
     InlineEvaluator,
@@ -61,11 +63,6 @@ from repro.discovery.reverse_interp import (
 #: shards at most this large are dispatched whole to a worker; larger
 #: ones are solved in the parent with wave-parallel candidate checking
 DISPATCH_MAX_SHARD = 12
-
-#: vectors checked inline before a solve escalates to pooled waves --
-#: most solves find their assignment within the first few candidates,
-#: and an IPC round-trip for those would cost more than it saves
-INLINE_WAVE = 32
 
 #: per-worker chunk of candidate vectors in one pooled wave
 EVAL_CHUNK = 96
@@ -93,9 +90,6 @@ class ExtractionStats(Counters):
     memo_misses: int = 0
     budget_total: int = 0
     budget_spent: int = 0
-    #: always 0 (nothing re-solves a sample across shards); kept because
-    #: checkpoints and summary.json carry it
-    fixpoint_retries: int = 0
 
     @property
     def budget_unspent(self):
@@ -187,8 +181,8 @@ class WorkerContext:
     bits: int
     #: each sample's KeyedRegion, built once the regions are final
     regions: RegionTable
-    use_likelihood: bool = True
-    memo_enabled: bool = True
+    use_likelihood: bool
+    memo_enabled: bool
 
 
 @dataclass
@@ -203,21 +197,6 @@ class ShardOutcome:
     spent: int = 0
     memo_hits: int = 0
     memo_misses: int = 0
-
-
-class _SampleSet:
-    """The slice of the corpus a shard solver sees (duck-types the
-    ``Corpus`` surface the reverse interpreter uses)."""
-
-    def __init__(self, samples):
-        self.samples = list(samples)
-
-    def usable_samples(self, kind=None):
-        return [
-            s
-            for s in self.samples
-            if s.usable and (kind is None or s.kind == kind)
-        ]
 
 
 _CTX = None  # WorkerContext, in workers and in the parent (inline path)
@@ -282,43 +261,34 @@ def _task_first_passing(name, sem, extra_effects, solved_names, assignments):
     )
 
 
-def _run_shard(index, names, budget, graph_roles, memo, evaluator, prefetch=None):
-    """Solve one shard with a plain in-process reverse interpreter;
-    the single implementation runs identically in the parent (inline
-    shards, ``procs=1``) and inside a dispatched worker."""
+def _solve_shard(index, names, budget, graph_roles, evaluator=None, prefetch=None):
+    """Solve one shard with the reverse interpreter and reduce it to its
+    :class:`ShardOutcome`.  A worker runs this for a dispatched shard,
+    the parent for an inline one; the memo counts are the process
+    memo's deltas over the solve."""
     ctx = _CTX
-    samples = [ctx.samples_by_name[n] for n in names]
-    pool = BudgetPool(budget)
+    hits0, misses0 = _memo_counters()
     interpreter = ReverseInterpreter(
-        _SampleSet(samples),
+        [ctx.samples_by_name[name] for name in names],
+        budget,
         ctx.addr_map,
         ctx.bits,
-        graph_roles=graph_roles,
-        budget=budget,
+        ctx.regions,
+        graph_roles,
         use_likelihood=ctx.use_likelihood,
-        memo=memo,
+        memo=_MEMO if prefetch is None else prefetch.memo,
         evaluator=evaluator,
-        budget_pool=pool,
-        samples=samples,
-        discard_failed=False,
         prefetch=prefetch,
-        regions=ctx.regions,
     )
     result = interpreter.extract()
-    return result, pool
-
-
-def _task_solve_shard(index, names, budget, graph_roles):
-    hits0, misses0 = _memo_counters()
-    result, pool = _run_shard(index, names, budget, graph_roles, _MEMO, None)
     hits1, misses1 = _memo_counters()
     return ShardOutcome(
         index=index,
-        semantics=[result.semantics[k] for k in result.semantics],
+        semantics=list(result.semantics.values()),
         solved=result.solved,
         failed=result.failed,
         tried=result.interpretations_tried,
-        spent=pool.spent,
+        spent=interpreter.spent,
         memo_hits=hits1 - hits0,
         memo_misses=misses1 - misses0,
     )
@@ -391,32 +361,28 @@ def _split_even(items, parts):
     return batches
 
 
-class PooledEvaluator:
+class PooledEvaluator(InlineEvaluator):
     """Checks candidate-vector waves across the process pool.  The
-    first wave of a solve stays inline (most solves finish there); a
-    solve that outlives it escalates to ``procs``-wide waves.  Venue
-    never affects the outcome: the winner is the first passing vector
-    in enumeration order, wherever each chunk was checked."""
+    first wave of a solve is the inline evaluator's (most solves finish
+    there, and an IPC round-trip for them would cost more than it
+    saves); a solve that outlives it escalates to ``procs``-wide waves.
+    Venue never affects the outcome: the winner is the first passing
+    vector in enumeration order, wherever each chunk was checked."""
 
-    def __init__(self, pool, addr_map, bits, stats, regions, chunk=None, inline_wave=None):
+    def __init__(self, pool, addr_map, bits, stats, regions):
+        super().__init__(addr_map, bits, regions)
         self.pool = pool
-        self.addr_map = addr_map
-        self.bits = bits
         self.stats = stats
-        self.regions = regions
-        self.chunk = EVAL_CHUNK if chunk is None else chunk
-        self.inline_wave = INLINE_WAVE if inline_wave is None else inline_wave
 
     def next_wave(self, consumed):
-        if consumed < self.inline_wave:
-            return self.inline_wave
-        return self.chunk * self.pool.procs
+        if consumed < self.wave:
+            return self.wave
+        return EVAL_CHUNK * self.pool.procs
 
     def first_passing(self, sample, sem, extra_effects, solved_samples, assignments):
-        if len(assignments) <= self.inline_wave:
-            return first_passing_index(
-                sample, sem, extra_effects, solved_samples, assignments,
-                self.addr_map, self.bits, self.regions,
+        if len(assignments) <= self.wave:
+            return super().first_passing(
+                sample, sem, extra_effects, solved_samples, assignments
             )
         solved_names = [s.name for s in solved_samples]
         chunks = _split_even(assignments, self.pool.procs)
@@ -459,9 +425,6 @@ class _PrefetchedMemo:
         self.base = memo
         self.prefetcher = prefetcher
 
-    def key(self, sample, index, role):
-        return self.base.key(sample, index, role)
-
     def lookup(self, sample, index, role):
         key = self.base.key(sample, index, role)
         cached = self.base.table.get(key)
@@ -474,9 +437,6 @@ class _PrefetchedMemo:
             self.base.seed(key, cands)
             return cands
         return self.base.lookup(sample, index, role)
-
-    def seed(self, key, cands):
-        self.base.seed(key, cands)
 
 
 class HypothesisPrefetcher:
@@ -534,8 +494,6 @@ class HypothesisPrefetcher:
 class ExtractionEngine:
     """Orchestrates the two CPU-bound phases for one discovery run."""
 
-    RI_KINDS = ReverseInterpreter.RI_KINDS
-
     def __init__(self, procs=1, memo=True):
         self.procs = max(1, int(procs))
         self.memo_enabled = bool(memo)
@@ -560,7 +518,7 @@ class ExtractionEngine:
         self._samples = [
             s
             for s in corpus.usable_samples()
-            if s.kind in self.RI_KINDS and getattr(s, "info", None) is not None
+            if s.kind in ReverseInterpreter.RI_KINDS and getattr(s, "info", None) is not None
         ]
         self.regions = RegionTable()
         for sample in self._samples:
@@ -608,7 +566,7 @@ class ExtractionEngine:
 
     # -- reverse interpretation ----------------------------------------
 
-    def extract(self, graph_roles, budget, ri_samples=None, completed=None, on_shard=None):
+    def extract(self, graph_roles, budget, completed=None, on_shard=None):
         """Shard, solve, merge.  Returns the merged
         :class:`ExtractionResult`; counters land in ``self.stats``.
 
@@ -619,9 +577,8 @@ class ExtractionEngine:
         the driver's per-shard durable commit hook.  Shard budgets are
         seeded per index, so the merge cannot tell replay from solve.
         """
-        samples = list(ri_samples) if ri_samples is not None else list(self._samples)
-        by_name = {s.name: s for s in samples}
-        shards = partition_shards(samples, self.regions)
+        by_name = {s.name: s for s in self._samples}
+        shards = partition_shards(self._samples, self.regions)
         sizes = [len(shard) for shard in shards]
         shares = split_budget(budget, sizes)
         self.stats.shards = len(shards)
@@ -629,7 +586,6 @@ class ExtractionEngine:
         self.stats.budget_total = budget
 
         outcomes = dict(completed) if completed else {}
-        memo = _MEMO  # the parent-process memo (None when disabled)
         dispatch, inline = [], []
         for index, (shard, share) in enumerate(zip(shards, shares)):
             if index in outcomes:
@@ -649,31 +605,13 @@ class ExtractionEngine:
         self.stats.dispatched_shards = len(dispatch)
         self.stats.inline_shards = len(inline)
 
-        futures = {}
-        if dispatch:
-            for task in dispatch:
-                futures[task[0]] = self.pool.submit(_task_solve_shard, *task)
-
+        futures = {
+            task[0]: self.pool.submit(_solve_shard, *task) for task in dispatch
+        }
         for index, names, share, roles in inline:
-            evaluator = self._parent_evaluator()
-            prefetch = self._make_prefetcher(memo, roles)
-            hits0, misses0 = _memo_counters()
-            result, shard_pool = _run_shard(
+            outcomes[index] = _solve_shard(
                 index, names, share, roles,
-                prefetch.memo if prefetch is not None else memo,
-                evaluator,
-                prefetch,
-            )
-            hits1, misses1 = _memo_counters()
-            outcomes[index] = ShardOutcome(
-                index=index,
-                semantics=[result.semantics[k] for k in result.semantics],
-                solved=result.solved,
-                failed=result.failed,
-                tried=result.interpretations_tried,
-                spent=shard_pool.spent,
-                memo_hits=hits1 - hits0,
-                memo_misses=misses1 - misses0,
+                self._parent_evaluator(), self._make_prefetcher(roles),
             )
             if on_shard is not None:
                 on_shard(outcomes[index])
@@ -705,16 +643,14 @@ class ExtractionEngine:
         return merged
 
     def _parent_evaluator(self):
-        if self.pool is not None:
-            return PooledEvaluator(
-                self.pool, self.addr_map, self.bits, self.stats, self.regions
-            )
-        return InlineEvaluator(self.addr_map, self.bits, self.regions)
+        if self.pool is None:
+            return None  # the interpreter's own inline evaluator
+        return PooledEvaluator(self.pool, self.addr_map, self.bits, self.stats, self.regions)
 
-    def _make_prefetcher(self, memo, roles):
-        if self.pool is None or memo is None:
+    def _make_prefetcher(self, roles):
+        if self.pool is None or _MEMO is None:
             return None
         return HypothesisPrefetcher(
-            self.pool, memo, roles, self.use_likelihood, self.bits, self.stats,
+            self.pool, _MEMO, roles, self.use_likelihood, self.bits, self.stats,
             self.regions,
         )

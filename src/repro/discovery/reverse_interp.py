@@ -69,6 +69,19 @@ def opkey(instr):
     return key
 
 
+def parse_opkey(key):
+    """Split an :func:`opkey` into (mnemonic, operand parts, call
+    targets)."""
+    body, _at, targets = key.partition("@")
+    mnemonic, _paren, parts = body.partition("(")
+    parts = parts.rstrip(")")
+    return (
+        mnemonic,
+        tuple(parts.split(",")) if parts else (),
+        tuple(targets.split(",")) if targets else (),
+    )
+
+
 class KeyedRegion(NamedTuple):
     """A preprocessed region's extraction unknowns, worked out once."""
 
@@ -164,15 +177,17 @@ def _leaf_reader(state, instr):
     return read
 
 
-def _eval_effect_term(term, read, bits):
-    """Evaluate a term with junk/address propagation: identity terms pass
-    any value through; arithmetic over non-integers yields Junk, except
+def eval_term(term, read, bits):
+    """Evaluate a term; *read(leaf)* supplies the value of each ``val``
+    or ``ireg`` leaf.  Over integers this is word arithmetic, and a zero
+    divisor raises :class:`InterpFail`.  Identity terms pass any value
+    through; arithmetic over non-integers yields Junk, except
     address+constant which stays an address."""
     if term[0] in ("val", "ireg"):
         return read(term)
     if term[0] == "const":
         return term[1]
-    args = [_eval_effect_term(arg, read, bits) for arg in term[1:]]
+    args = [eval_term(arg, read, bits) for arg in term[1:]]
     if all(_is_int(a) for a in args):
         if term[0] in DIVISOR_PRIMS and args[1] % (1 << bits) == 0:
             raise InterpFail("division by zero")
@@ -193,7 +208,7 @@ def apply_effects(state, instr, effects):
     read = _leaf_reader(state, instr)
     pending = []
     for target, term in effects:
-        pending.append((target, _eval_effect_term(term, read, state.bits)))
+        pending.append((target, eval_term(term, read, state.bits)))
     for target, value in pending:
         if target[0] == "op":
             op = instr.operands[target[1]]
@@ -278,7 +293,7 @@ def _respects_usedef(effects, usedefs, terms):
     return True
 
 
-def hypotheses(sample, index, role, max_candidates=MAX_CANDIDATES):
+def hypotheses(sample, index, role):
     """Scored, likelihood-ordered semantics candidates for one
     instruction instance.  Yields (score, effects) best first."""
     info = sample.info
@@ -348,7 +363,7 @@ def hypotheses(sample, index, role, max_candidates=MAX_CANDIDATES):
             continue
         seen.add(effects)
         out.append((score_value, effects))
-        if len(out) >= max_candidates:
+        if len(out) >= MAX_CANDIDATES:
             break
     return out
 
@@ -356,7 +371,7 @@ def hypotheses(sample, index, role, max_candidates=MAX_CANDIDATES):
 # -- hypothesis memoization ---------------------------------------------------
 
 
-def hypothesis_shape_key(sample, index, role, bits=None):
+def hypothesis_shape_key(sample, index, role, bits):
     """Everything :func:`hypotheses` actually depends on, as a hashable
     key: candidate effects reference operands by *position* (never by
     register name or immediate value), so two instruction instances with
@@ -390,7 +405,7 @@ class HypothesisMemo:
     bit-for-bit identical with the memo on or off -- only the hit/miss
     counters change."""
 
-    def __init__(self, bits=None):
+    def __init__(self, bits):
         self.bits = bits
         self.table = {}
         self.hits = 0
@@ -509,23 +524,6 @@ class InlineEvaluator:
         )
 
 
-class BudgetPool:
-    """A shared interpretation budget.  Each ``_solve`` draws what it
-    consumes from the pool instead of getting a fresh per-call budget,
-    so a global ``ri_budget`` can be split across shards with the
-    unspent remainder accounted for."""
-
-    def __init__(self, total):
-        self.total = total
-        self.spent = 0
-
-    def remaining(self):
-        return max(0, self.total - self.spent)
-
-    def spend(self, count):
-        self.spent += count
-
-
 # -- the extractor driver -------------------------------------------------------
 
 
@@ -554,42 +552,37 @@ class ExtractionResult:
 
 
 class ReverseInterpreter:
-    """Probabilistic best-first search for instruction semantics."""
+    """Probabilistic best-first search for the semantics of one shard's
+    instructions: the extraction engine's shard solver.  All solves
+    together spend at most *budget* interpretations.  A sample no
+    assignment explains lands in ``failed``; the engine discards it when
+    it merges the shards."""
 
     RI_KINDS = ("binary", "unary", "literal", "copy")
 
-    def __init__(self, corpus, addr_map, word_bits, graph_roles=None, budget=60000,
-                 use_likelihood=True, memo=None, evaluator=None, budget_pool=None,
-                 samples=None, discard_failed=True, prefetch=None, regions=None):
-        self.corpus = corpus
+    def __init__(self, samples, budget, addr_map, word_bits, regions, graph_roles,
+                 use_likelihood=True, memo=None, evaluator=None, prefetch=None):
+        self.samples = list(samples)
+        self.by_name = {s.name: s for s in self.samples}
+        self.budget = budget
+        #: interpretations charged so far; never more than ``budget``
+        self.spent = 0
         self.addr_map = addr_map
         self.bits = word_bits
-        self.graph_roles = graph_roles or {}
-        self.budget = budget
+        #: sample name -> KeyedRegion, shared with the default evaluator
+        self.regions = regions
+        self.graph_roles = graph_roles
         self.use_likelihood = use_likelihood
         self.memo = memo
-        #: sample name -> KeyedRegion, shared with the default evaluator
-        self.regions = RegionTable() if regions is None else regions
-        self.evaluator = evaluator or InlineEvaluator(addr_map, word_bits, self.regions)
-        self.budget_pool = budget_pool
-        self.samples = samples
-        self.discard_failed = discard_failed
+        self.evaluator = evaluator or InlineEvaluator(addr_map, word_bits, regions)
         #: optional hook called before each solve with (upcoming pending
         #: samples, result) -- lets a parallel engine warm the memo with
         #: hypothesis lists the next few solves will ask for
         self.prefetch = prefetch
 
-    def ri_samples(self):
-        return [
-            s
-            for s in self.corpus.usable_samples()
-            if s.kind in self.RI_KINDS and getattr(s, "info", None) is not None
-        ]
-
     def extract(self):
         result = ExtractionResult()
-        samples = list(self.samples) if self.samples is not None else self.ri_samples()
-        pending = list(samples)
+        pending = list(self.samples)
         progress = True
         while pending and progress:
             progress = False
@@ -622,13 +615,9 @@ class ReverseInterpreter:
                 result.solved.append(sample.name)
             else:
                 # Degenerate shapes never justify revising the semantics
-                # table; a failing one is simply discarded (the paper
-                # discards samples its interpreter cannot finish).
+                # table; the paper discards samples its interpreter
+                # cannot finish.
                 result.failed.append(sample.name)
-                if self.discard_failed:
-                    sample.discard(
-                        "reverse interpretation found no consistent semantics"
-                    )
         return result
 
     def _solve_with_revision(self, sample, result):
@@ -640,10 +629,10 @@ class ReverseInterpreter:
         known = [k for k in keys if k in result.semantics]
         for key in known:
             saved = result.semantics.pop(key)
-            if self._solve(sample, result, validate_solved=True):
+            if self._solve(sample, result):
                 return True
             result.semantics[key] = saved
-        return self._solve(sample, result, allow_revision=True, validate_solved=True)
+        return self._solve(sample, result, allow_revision=True)
 
     # ------------------------------------------------------------------
 
@@ -655,15 +644,6 @@ class ReverseInterpreter:
             return hypotheses(sample, index, role)
         return self.memo.lookup(sample, index, role)
 
-    def _budget_cap(self):
-        if self.budget_pool is not None:
-            return self.budget_pool.remaining()
-        return self.budget
-
-    def _spend(self, count):
-        if self.budget_pool is not None:
-            self.budget_pool.spend(count)
-
     def _unknown_count(self, sample, result):
         return sum(1 for k in self._keys(sample) if k not in result.semantics)
 
@@ -673,7 +653,7 @@ class ReverseInterpreter:
             raise DiscoveryError(f"lost instruction {key}")
         return index
 
-    def _solve(self, sample, result, allow_revision=False, validate_solved=True):
+    def _solve(self, sample, result, allow_revision=False):
         sem = result.effects_map()
         keys = self._keys(sample)
         if allow_revision:
@@ -708,10 +688,7 @@ class ReverseInterpreter:
         if any(not options for options in lists):
             return False
 
-        solved_samples = []
-        if validate_solved:
-            by_name = {s.name: s for s in self.corpus.samples}
-            solved_samples = [by_name[name] for name in dict.fromkeys(result.solved)]
+        solved_samples = [self.by_name[name] for name in dict.fromkeys(result.solved)]
         extra_effects = {k: v.effects for k, v in result.semantics.items()}
 
         # Probabilistic best-first search (paper section 5.2.2): joint
@@ -721,9 +698,10 @@ class ReverseInterpreter:
         # the enumerator in waves and checked by the evaluator (inline,
         # or fanned over worker processes); the committed assignment is
         # the first passing vector in enumeration order either way, and
-        # only the vectors up to that winner count against the budget.
+        # only the vectors up to that winner count against the shard's
+        # budget.
         enumerator = VectorEnumerator(lists)
-        budget_cap = self._budget_cap()
+        budget_cap = self.budget - self.spent
         consumed = 0
         assignment = None
         winning_vector = None
@@ -750,7 +728,7 @@ class ReverseInterpreter:
             assignment = assignments[hit]
             break
         result.interpretations_tried += consumed
-        self._spend(consumed)
+        self.spent += consumed
         if assignment is None:
             return False
         tries_log = {

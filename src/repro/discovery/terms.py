@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from repro.discovery.primitives import DIVISOR_PRIMS, TERM_PRIMS
+from repro.discovery.primitives import TERM_PRIMS
 
 #: extra constants terms may mention (the paper's shortest-interpretation
 #: rule keeps this list tiny)
@@ -135,24 +135,6 @@ def render_effects(effects, operand_names=None):
             name = target[1]
         parts.append(f"{name} <- {render_term(term, operand_names)}")
     return "; ".join(parts) or "nop"
-
-
-class TermEvalError(Exception):
-    """Division by zero or a non-integer leaf during evaluation."""
-
-
-def eval_term(term, leaf_value, bits):
-    """Evaluate a term; *leaf_value(leaf)* supplies leaf values (ints)."""
-    kind = term[0]
-    if kind in ("val", "ireg"):
-        return leaf_value(term)
-    if kind == "const":
-        return term[1]
-    arity, fn = TERM_PRIMS[kind]
-    args = [eval_term(arg, leaf_value, bits) for arg in term[1:]]
-    if kind in DIVISOR_PRIMS and args[1] % (1 << bits) == 0:
-        raise TermEvalError("division by zero")
-    return fn(bits, *args)
 
 
 def enumerate_terms(leaves, max_size=3, consts=TERM_CONSTS):

@@ -12,6 +12,7 @@ import pytest
 
 from repro.discovery.driver import ArchitectureDiscovery
 from repro.discovery.extract_pool import (
+    ExtractionEngine,
     ExtractionStats,
     _split_even,
     partition_shards,
@@ -131,6 +132,52 @@ def test_phase_timings_recorded(probe_cache):
         assert timings[phase]["wall_s"] >= 0.0
         assert timings[phase]["cpu_s"] >= 0.0
         assert timings[phase]["verbs"] == 0  # pure CPU: no target contact
+
+
+# -- the shard-level budget --------------------------------------------------
+
+
+#: too small for x86's giant shard, whose search spends 25,104 at 60,000
+TIGHT_BUDGET = 1_000
+
+
+def _extract_again(report, procs, budget):
+    """Extract a finished report's corpus again, as discovery does.
+    Returns the result, the counters and each failed sample's discard
+    reason; every sample's ``discarded`` is restored afterwards."""
+    saved = {s.name: s.discarded for s in report.corpus.samples}
+    engine = ExtractionEngine(procs=procs)
+    try:
+        engine.prepare(report.corpus, report.addr_map, report.enquire.word_bits)
+        result = engine.extract(engine.graph_roles(), budget=budget)
+        reasons = {
+            s.name: s.discarded for s in report.corpus.samples if s.name in result.failed
+        }
+    finally:
+        engine.close()
+        for sample in report.corpus.samples:
+            sample.discarded = saved[sample.name]
+    return result, engine.stats, reasons
+
+
+def test_budget_binds_at_shard_level(x86_report):
+    """An exhausted shard budget fails the samples it could not reach:
+    the spend never passes the total, each failed sample is discarded
+    for it, and the outcome does not depend on the process count."""
+    runs = {}
+    for procs in (1, 2):
+        result, stats, reasons = _extract_again(x86_report, procs, TIGHT_BUDGET)
+        assert stats.budget_total == TIGHT_BUDGET
+        assert stats.budget_spent <= TIGHT_BUDGET
+        # the largest shard ran dry: it spent its whole share
+        assert stats.budget_spent >= max(split_budget(TIGHT_BUDGET, stats.shard_sizes))
+        assert result.failed, "the budget never bound"
+        assert set(reasons) == set(result.failed)
+        assert set(reasons.values()) == {
+            "reverse interpretation found no consistent semantics"
+        }
+        runs[procs] = (result.solved, result.failed, stats.budget_spent)
+    assert runs[1] == runs[2]
 
 
 # -- sharding unit tests -----------------------------------------------------

@@ -9,8 +9,8 @@ from repro.discovery.reverse_interp import (
     InterpFail,
     Junk,
     MachineState,
-    _eval_effect_term,
     apply_effects,
+    eval_term,
     opkey,
 )
 
@@ -49,7 +49,7 @@ class TestValueDomain:
         assert s.load(DMem("paren", "sp", -64)) == 42
 
     def test_address_plus_offset_stays_an_address(self):
-        value = _eval_effect_term(
+        value = eval_term(
             ("add", ("const", 8), ("ireg", "sp")),
             lambda leaf: Addr("sp0", 0),
             32,
@@ -57,7 +57,7 @@ class TestValueDomain:
         assert value == Addr("sp0", 8)
 
     def test_symbolic_arithmetic_collapses_to_junk(self):
-        value = _eval_effect_term(
+        value = eval_term(
             ("mul", ("ireg", "sp"), ("const", 2)),
             lambda leaf: Addr("sp0", 0),
             32,
