@@ -24,9 +24,13 @@ TARGETS = ("x86", "mips", "sparc", "alpha", "vax", "m68k")
 @pytest.fixture
 def benchmark(benchmark, request):
     """The pytest-benchmark fixture, plus automatic machine-readable
-    output: each test's timing and ``extra_info`` are merged into
-    ``benchmarks/results/BENCH_<module>.json`` at teardown."""
+    output: each timed test's timing and ``extra_info`` are merged into
+    ``benchmarks/results/BENCH_<module>.json`` at teardown.  An untimed
+    run (``--benchmark-disable``) measures nothing, so it writes
+    nothing."""
     yield benchmark
+    if benchmark.disabled:
+        return
     module = request.module.__name__.rsplit(".", 1)[-1]
     if module.startswith("bench_"):
         module = module[len("bench_"):]

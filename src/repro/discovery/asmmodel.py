@@ -214,9 +214,10 @@ def operand_part(op):
 # -- raw line splitting (pre-syntax-discovery) --------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class RawLine:
-    """A minimally parsed assembly line."""
+    """A minimally parsed assembly line.  Slotted: register discovery
+    keeps every usable sample's lines until region extraction."""
 
     labels: list
     mnemonic: str | None
@@ -247,8 +248,14 @@ def split_operand_texts(text):
 
 def split_lines(asm_text, comment_char):
     """Split assembly text into :class:`RawLine` records."""
+    return [line for _index, line in number_lines(asm_text.splitlines(), comment_char)]
+
+
+def number_lines(raw_lines, comment_char):
+    """An (index into *raw_lines*, :class:`RawLine`) pair for each line
+    that is not blank or comment-only."""
     lines = []
-    for raw in asm_text.splitlines():
+    for index, raw in enumerate(raw_lines):
         cut = raw.find(comment_char) if comment_char else -1
         line = (raw[:cut] if cut >= 0 else raw).strip()
         if not line:
@@ -261,13 +268,12 @@ def split_lines(asm_text, comment_char):
             labels.append(match.group(1))
             line = match.group(2).strip()
         if not line:
-            lines.append(RawLine(labels, None, [], False, raw))
+            lines.append((index, RawLine(labels, None, [], False, raw)))
             continue
-        is_directive = line.startswith(".") and " " not in line.split(None, 1)[0][1:]
         parts = line.split(None, 1)
         mnemonic = parts[0]
         operand_texts = split_operand_texts(parts[1]) if len(parts) > 1 else []
-        lines.append(RawLine(labels, mnemonic, operand_texts, line.startswith("."), raw))
+        lines.append((index, RawLine(labels, mnemonic, operand_texts, line.startswith("."), raw)))
     return lines
 
 

@@ -115,18 +115,6 @@ def _find_branch(sample):
     raise DiscoveryError(f"{sample.name}: no conditional branch found in region")
 
 
-def _template_operand(op, source_map, label=False):
-    if label:
-        return Slot("label")
-    if isinstance(op, DMem):
-        mapped = source_map.get(("mem", op.kind, op.base, op.disp))
-        return mapped if mapped else op
-    if isinstance(op, DReg):
-        mapped = source_map.get(("reg", op.name))
-        return mapped if mapped else op
-    return op
-
-
 class BranchAnalysis:
     def __init__(self, engine, addr_map, word_bits):
         self.engine = engine

@@ -34,9 +34,6 @@ class Dfg:
     def successors(self, node):
         return [dst for src, dst, _t in self.edges if src == node]
 
-    def predecessors(self, node):
-        return [src for src, dst, _t in self.edges if dst == node]
-
     def descendants(self, node):
         seen = set()
         stack = [node]

@@ -357,6 +357,9 @@ class ArchitectureDiscovery:
         self._report = None
         self._completed = None
         self._state = None
+        #: sample text -> its lexer parse, from register discovery to
+        #: region extraction; never part of a checkpoint
+        self._parses = {}
         #: where the Ctrl-C auto-persist landed (set on KeyboardInterrupt)
         self.interrupt_run_dir = None
 
@@ -626,14 +629,18 @@ class ArchitectureDiscovery:
             self.probe_log,
             scheduler=self.scheduler,
             progress=self._progress("register discovery"),
+            parses=self._parses,
         )
 
     def _phase_extract(self, report, state):
+        # Each sample's text as register discovery parsed it, dropped
+        # once used; a run resumed between the two phases parses again.
+        parses, self._parses = self._parses, {}
         for sample in report.corpus.samples:
             if not sample.usable:
                 continue
             try:
-                extract_region(sample, report.syntax)
+                extract_region(sample, report.syntax, parses.pop(sample.asm_text, None))
             except DiscoveryError as exc:
                 sample.discard(f"extraction failed: {exc}")
             except TargetError as exc:

@@ -385,14 +385,6 @@ class DurableRun:
         except OSError:
             pass  # progress is advisory; never fail a commit over it
 
-    def read_progress(self):
-        """The progress sidecar as a dict, or None (pre-sidecar run
-        directories, torn writes)."""
-        try:
-            return json.loads((self.directory / PROGRESS_FILE).read_text())
-        except (OSError, ValueError):
-            return None
-
     # -- loading -------------------------------------------------------
 
     def load_checkpoint(self):

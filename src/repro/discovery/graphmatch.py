@@ -29,25 +29,6 @@ def _instr_indices(nodes):
     return {node[1] for node in nodes if node[0] == "instr"}
 
 
-def _path_nodes(graph, start, goal_set):
-    """Instruction nodes on any path from start into goal_set (BFS)."""
-    frontier = [start]
-    seen = {start}
-    parents = {}
-    hits = []
-    while frontier:
-        node = frontier.pop(0)
-        for nxt in graph.successors(node):
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            parents[nxt] = node
-            if nxt in goal_set:
-                hits.append(nxt)
-            frontier.append(nxt)
-    return parents, hits
-
-
 def match_binary(sample, graph):
     """Locate P and Q for a binary (or unary/copy) sample."""
     result = MatchResult()

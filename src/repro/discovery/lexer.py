@@ -9,25 +9,21 @@ referenced at least three times."
 
 from __future__ import annotations
 
-from repro.discovery.asmmodel import DInstr, split_lines
+from repro.discovery.asmmodel import DInstr, number_lines
 from repro.errors import DiscoveryError
 
 
-def _parse(asm_text, comment_char):
+def parse(asm_text, comment_char):
     """The raw lines, and an (index of the raw line, :class:`RawLine`)
     pair for each line that is not blank or comment-only."""
     raw_lines = asm_text.splitlines()
-    parsed = []
-    for index, raw in enumerate(raw_lines):
-        for line in split_lines(raw, comment_char):
-            parsed.append((index, line))
-    return raw_lines, parsed
+    return raw_lines, number_lines(raw_lines, comment_char)
 
 
 def find_delimiters(asm_text, comment_char):
     """Return (begin_label, end_label): the two labels referenced at
     least three times, in definition order."""
-    return _delimiters(_parse(asm_text, comment_char)[1])
+    return _delimiters(parse(asm_text, comment_char)[1])
 
 
 def _delimiters(parsed):
@@ -53,10 +49,14 @@ def _delimiters(parsed):
     return hot[0], hot[1]
 
 
-def extract_region(sample, syntax):
+def extract_region(sample, syntax, parsed_text=None):
     """Split the sample's assembly into (pre_lines, region, post_lines)
-    and tokenize the region instructions; fills the sample in place."""
-    raw_lines, parsed = _parse(sample.asm_text, syntax.comment_char)
+    and tokenize the region instructions; fills the sample in place.
+    *parsed_text* is the text's :func:`parse`, when the caller holds
+    one."""
+    if parsed_text is None:
+        parsed_text = parse(sample.asm_text, syntax.comment_char)
+    raw_lines, parsed = parsed_text
     begin, end = _delimiters(parsed)
 
     def def_line(label):
@@ -82,8 +82,7 @@ def extract_region(sample, syntax):
 def tokenize_region(raw_lines, syntax):
     """Tokenize assembly lines into :class:`DInstr` records."""
     return _tokenize(
-        [line for raw in raw_lines for line in split_lines(raw, syntax.comment_char)],
-        syntax,
+        [line for _index, line in number_lines(raw_lines, syntax.comment_char)], syntax
     )
 
 

@@ -20,6 +20,7 @@ from repro.errors import (
     TransientTargetError,
 )
 from repro.discovery.asmmodel import is_identifier, split_lines
+from repro.discovery.lexer import parse
 from repro.discovery.syntax import LoadImmTemplate
 
 #: comment characters tried, most common first (the paper starts from the
@@ -171,14 +172,15 @@ _PAREN_TOKEN = _re.compile(r"^-?\w*\(([^()]+)\)$")
 _BRACKET_TOKEN = _re.compile(r"^\[\s*([^\[\]+-]+?)\s*(?:[+-]\w+)?\]$")
 
 
-def _register_seeds(syntax, asm_texts):
+def _register_seeds(syntax, parsed_texts):
     """Candidate register tokens gathered by scanning sample assembly:
     memory-operand base registers, load-immediate destinations, and
-    tokens co-occurring with already-confirmed candidates."""
+    tokens co-occurring with already-confirmed candidates.  Each of
+    *parsed_texts* is a text's (index, :class:`RawLine`) list."""
     seeds = set(syntax.registers)
     cooccur = []
-    for text in asm_texts:
-        for line in split_lines(text, syntax.comment_char):
+    for parsed in parsed_texts:
+        for _index, line in parsed:
             if line.mnemonic is None or line.is_directive:
                 continue
             idents = []
@@ -247,10 +249,14 @@ def _expansion_candidates(confirmed):
 
 
 def discover_registers(
-    machine, syntax, asm_texts, log=None, scheduler=None, progress=None
+    machine, syntax, asm_texts, log=None, scheduler=None, progress=None, parses=None
 ):
     """Build the register universe: seed by scanning, confirm by probing,
     then expand each confirmed name's family and probe those too.
+
+    Scanning parses each text with :func:`~repro.discovery.lexer.parse`.
+    Pass a dict as *parses* to keep those parses, keyed by text: region
+    extraction, the next phase, reads the same lines.
 
     A candidate whose probe fails *terminally* (the retry policy gave
     up on the target) is left unconfirmed and counted in the log's
@@ -307,7 +313,11 @@ def discover_registers(
             progress.record(key, sorted(got))
         return confirmed
 
-    confirmed = probe_batch(sorted(_register_seeds(syntax, asm_texts)), "register seeds")
+    parses = {} if parses is None else parses
+    for text in asm_texts:
+        parses[text] = parse(text, syntax.comment_char)
+    seeds = _register_seeds(syntax, [parses[text][1] for text in asm_texts])
+    confirmed = probe_batch(sorted(seeds), "register seeds")
     expansion = [
         cand
         for cand in sorted(_expansion_candidates(confirmed))

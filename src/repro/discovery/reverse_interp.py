@@ -624,9 +624,18 @@ class ReverseInterpreter:
         """A failing sample may contradict an over-committed semantics
         (x86 ``idivl`` first seen in a division sample lacks its ``%edx``
         remainder output); retry, revising one already-known key at a
-        time and re-validating every solved sample."""
+        time and re-validating every solved sample.
+
+        An earlier revision may already explain the sample, so one whose
+        keys are all known is first checked as it stands.  Keys are then
+        revised least-supported first: a key that many solved samples
+        rely on rarely has another reading that keeps them all, and each
+        failed revision exhausts its search."""
         keys = self._keys(sample)
         known = [k for k in keys if k in result.semantics]
+        if len(known) == len(keys) and self._solve(sample, result):
+            return True
+        known.sort(key=lambda k: len(result.semantics[k].samples))
         for key in known:
             saved = result.semantics.pop(key)
             if self._solve(sample, result):
@@ -736,12 +745,15 @@ class ReverseInterpreter:
         }
 
         for key, index, _options in candidate_lists:
+            # A revised key keeps the solved samples it was re-validated
+            # on (every solved sample holding it), then gains this one.
+            support = [s.name for s in solved_samples if key in self.regions.of(s).first]
             result.semantics[key] = OpSemantics(
                 key=key,
                 effects=assignment[key],
                 example=sample.region[index],
                 tries=tries_log.get(key, 0),
-                samples=[sample.name],
+                samples=support + [sample.name],
             )
         for key in keys:
             if key in result.semantics and sample.name not in result.semantics[key].samples:

@@ -41,16 +41,38 @@ class LoadImmTemplate:
 
     def instr(self, value, reg, imm_prefix=""):
         """The instruction, its rendered text formatted straight from
-        the template."""
-        operands = [None] * self.arity
-        operands[self.imm_index] = DImm(value, imm_prefix)
-        operands[self.reg_index] = DReg(reg)
-        instr = DInstr(self.mnemonic, operands)
-        texts = [None] * self.arity
-        texts[self.imm_index] = f"{imm_prefix}{value}"
-        texts[self.reg_index] = reg
-        instr.rendered = f"\t{self.mnemonic} {', '.join(texts)}"
-        return instr
+        the template (``discover_loadimm`` accepts only two-operand
+        lines); its operand objects are made only if read."""
+        if self.imm_index < self.reg_index:
+            text = f"\t{self.mnemonic} {imm_prefix}{value}, {reg}"
+        else:
+            text = f"\t{self.mnemonic} {reg}, {imm_prefix}{value}"
+        return _LoadImmInstr(self, text, value, reg, imm_prefix)
+
+
+class _LoadImmInstr(DInstr):
+    """A load-immediate instruction made from its text.  Mutation
+    analysis only renders its clobbers, so the ``DImm`` and ``DReg``
+    are built the first time something reads ``operands``.  It never
+    reaches a checkpoint, whose codec knows no such class: ``clone``
+    and ``rename_register`` return a plain :class:`DInstr`."""
+
+    def __init__(self, template, rendered, value, reg, imm_prefix):
+        self.mnemonic = template.mnemonic
+        self.labels = []
+        self.rendered = rendered
+        self._parts = (template, value, reg, imm_prefix)
+
+    def __getattr__(self, name):
+        # reached only while ``operands`` is not built yet
+        if name != "operands":
+            raise AttributeError(name)
+        template, value, reg, imm_prefix = self._parts
+        operands = [None] * template.arity
+        operands[template.imm_index] = DImm(value, imm_prefix)
+        operands[template.reg_index] = DReg(reg)
+        self.operands = operands
+        return operands
 
 
 @dataclass

@@ -111,9 +111,6 @@ class SyntaxDef:
             return -value if neg else value
         return None
 
-    def render_int(self, value):
-        return str(value)
-
     @functools.cached_property
     def _bases_longest_first(self):
         # Longest prefix first so "0x" wins over "0".

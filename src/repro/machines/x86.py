@@ -214,10 +214,6 @@ class X86Abi(Abi):
         state.pc = entry_index
 
 
-def _forms(*forms):
-    return list(forms)
-
-
 def build_isa():
     registers = [
         RegisterDef("%eax"),

@@ -1,24 +1,27 @@
 """Work done once per value equals the work done every time.
 
 Discovery keeps per-term facts in a table, scores hypotheses from them,
-shares unchanged instructions between mutants and caches each
-instruction's rendered text.  Each test here checks one of those paths
-against the plain recursive definition it replaced, kept below as the
-reference, on the shapes and samples the real targets produce.
+shares unchanged instructions between mutants, caches each
+instruction's rendered text, builds clobbers from their text and parses
+each sample once.  Each test here checks one of those paths against the
+plain definition it replaced, kept below as the reference, on the
+shapes and samples the real targets produce.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.beg.ir import operator_spelled
-from repro.discovery import likelihood
+from repro.discovery import lexer, likelihood, portable, probe
 from repro.discovery import mutation as mut
-from repro.discovery.asmmodel import DReg
+from repro.discovery.asmmodel import DImm, DInstr, DReg, is_identifier, split_lines
 from repro.discovery.primitives import NAME_HINTS
 from repro.discovery.dfg import build_dfg
 from repro.discovery.graphmatch import match_binary
 from repro.discovery.reverse_interp import ReverseInterpreter, hypotheses
 from repro.discovery.terms import TermTable, enumerate_terms, term_size
-from tests.discovery.conftest import discovery_report
+from tests.discovery.conftest import TARGETS, discovery_report
 
 # -- the reference definitions --------------------------------------------
 
@@ -132,6 +135,39 @@ def ref_render_main(syntax, sample, instrs):
     return "\n".join(sample.pre_lines + [body] + sample.post_lines) + "\n"
 
 
+def ref_register_seeds(syntax, asm_texts):
+    seeds = set(syntax.registers)
+    cooccur = []
+    for text in asm_texts:
+        for line in split_lines(text, syntax.comment_char):
+            if line.mnemonic is None or line.is_directive:
+                continue
+            idents = []
+            for token in line.operand_texts:
+                for pattern in (probe._PAREN_TOKEN, probe._BRACKET_TOKEN):
+                    match = pattern.match(token)
+                    if match and is_identifier(match.group(1)):
+                        seeds.add(match.group(1))
+                if token.startswith(syntax.imm_prefix) and syntax.imm_prefix:
+                    continue
+                if syntax.parse_int(token) is not None:
+                    continue
+                if is_identifier(token):
+                    idents.append(token)
+            if idents:
+                cooccur.append(idents)
+    changed = True
+    while changed:
+        changed = False
+        for idents in cooccur:
+            if any(tok in seeds for tok in idents):
+                for tok in idents:
+                    if tok not in seeds:
+                        seeds.add(tok)
+                        changed = True
+    return seeds
+
+
 # -- per-term facts -----------------------------------------------------------
 
 
@@ -229,3 +265,57 @@ def test_mutants_render_like_the_reference_renderer(target):
             assert text == ref_render_main(syntax, sample, mutant), sample.name
             checked += 1
     assert checked
+
+
+# -- clobbers built from text ---------------------------------------------------
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_load_immediates_from_text_equal_the_operand_form(target):
+    """A load-immediate is made from its text; its operands, copies and
+    checkpointed form are those of the instruction built from operand
+    objects."""
+    report = discovery_report(target)
+    syntax = report.syntax
+    template = syntax.loadimm
+    reg, other = sorted(syntax.registers)[:2]
+    edges = {0, 1, -1, -(1 << 31), (1 << 31) - 1}
+    bits = report.enquire.word_bits
+    edges |= {-(1 << (bits - 1)), (1 << (bits - 1)) - 1}
+    for value in sorted(edges):
+        instr = syntax.load_imm_instr(value, reg)
+        expected = [None] * template.arity
+        expected[template.imm_index] = DImm(value, syntax.imm_prefix)
+        expected[template.reg_index] = DReg(reg)
+        assert syntax.render_instr(instr) == ref_render_instr(syntax, instr)
+        assert instr.operands == expected
+        assert (instr.labels, instr.raw, instr.glued) == ([], "", False)
+        filler = instr.clone(glued=True)
+        assert type(filler) is DInstr and filler.glued
+        assert filler.operands == expected
+        assert portable.thaw(portable.freeze(filler)) == filler
+        renamed = instr.rename_register(reg, other)
+        assert type(renamed) is DInstr
+        assert renamed.operands[template.reg_index] == DReg(other)
+
+
+def test_each_clobber_draws_one_value():
+    engine = discovery_report("x86").engine
+    reg = sorted(engine.corpus.syntax.registers)[0]
+    imm_index = engine.corpus.syntax.loadimm.imm_index
+    built, drawn = engine.fork("draws"), engine.fork("draws")
+    values = [built.clobber_instr(reg).operands[imm_index].value for _ in range(50)]
+    assert values == [drawn.clobber_value() for _ in range(50)]
+
+
+# -- one parse per sample -------------------------------------------------------
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_register_seeds_from_the_shared_parse(target):
+    report = discovery_report(target)
+    texts = [s.asm_text for s in report.corpus.samples if s.asm_text]
+    parsed = [lexer.parse(text, report.syntax.comment_char)[1] for text in texts]
+    for registers in (set(), {sorted(report.syntax.registers)[0]}):
+        syntax = dataclasses.replace(report.syntax, registers=registers)
+        assert probe._register_seeds(syntax, parsed) == ref_register_seeds(syntax, texts)

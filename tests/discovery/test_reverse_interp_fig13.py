@@ -82,6 +82,35 @@ class TestDiscoveredSemantics:
         assert len(failed) <= 4
 
 
+class TestSupportLists:
+    """An entry's ``samples`` are the solved samples that support it.  A
+    revision keeps the samples the revised key was re-validated on."""
+
+    def test_every_supporting_sample_passes_the_final_table(self, report):
+        sem = report.extraction.effects_map()
+        bits = report.enquire.word_bits
+        solved = set(report.extraction.solved)
+        passes = {}
+        for key, op_sem in report.extraction.semantics.items():
+            assert op_sem.samples, key
+            for name in op_sem.samples:
+                assert name in solved, (key, name)
+                if name not in passes:
+                    sample = sample_named(report, name)
+                    passes[name] = check_sample(sample, sem, report.addr_map, bits)
+                assert passes[name], (key, name)
+
+    def test_x86_lists_survive_the_idivl_revisions(self, x86_report):
+        semantics = x86_report.extraction.semantics
+        # revising least-supported keys first never pops these moves
+        assert len(semantics["movl(m:paren+disp,r)"].samples) == 94
+        assert len(semantics["movl(i,r)"].samples) == 19
+        # first solved from division samples, revised for remainders
+        for key in ("idivl(m:paren+disp)", "idivl(r)"):
+            ops = {sample_named(x86_report, name).op for name in semantics[key].samples}
+            assert ops == {"/", "%"}, key
+
+
 class TestInterpretationMachinery:
     def test_interpret_region_reproduces_sample_output(self, report):
         sem = report.extraction.effects_map()
