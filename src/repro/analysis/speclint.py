@@ -127,7 +127,7 @@ class _SpecLinter:
         if spec.branch is None or not spec.branch.uncond:
             self.add("SPEC004", "no unconditional jump discovered", where="branch")
         frame = spec.frame
-        if frame is None or not getattr(frame, "slots", None):
+        if frame is None or not frame.slots:
             self.add("SPEC004", "no frame model discovered", where="frame")
         else:
             if len(frame.slots) < 2:
@@ -137,9 +137,9 @@ class _SpecLinter:
                     "for the print idiom)",
                     where="frame",
                 )
-            if not getattr(frame, "print_template", None):
+            if not frame.print_template:
                 self.add("SPEC004", "frame model has no print idiom", where="frame")
-            if not getattr(frame, "exit_template", None):
+            if not frame.exit_template:
                 self.add("SPEC004", "frame model has no exit idiom", where="frame")
         if not self.allocatable:
             self.add("SPEC004", "no allocatable registers", where="allocatable")
@@ -169,9 +169,9 @@ class _SpecLinter:
 
     def _check_rule_template(self, rule, where):
         slots = rule.slots_used()
-        two_address = bool(getattr(rule, "two_address", False))
-        result_literal = getattr(rule, "result_literal", None)
-        if not rule.verified and not getattr(rule, "runtime_verified", False):
+        two_address = rule.two_address
+        result_literal = rule.result_literal
+        if not rule.verified and not rule.runtime_verified:
             self.add(
                 "SPEC014",
                 f"{where} passed neither the Combiner's semantic check nor "
@@ -355,8 +355,7 @@ class _SpecLinter:
     def _check_register_classes(self):
         spec = self.spec
         for where, rule in self._all_rules():
-            classes = getattr(rule, "slot_classes", None) or {}
-            for slot, allowed in sorted(classes.items()):
+            for slot, allowed in sorted(rule.slot_classes.items()):
                 if not allowed:
                     self.add(
                         "SPEC021",
@@ -373,8 +372,11 @@ class _SpecLinter:
                         f"set for <{slot}>: {', '.join(escaped)}",
                         where=where,
                     )
-        for attr in ("load_dest_class", "store_src_class", "loadimm_class"):
-            allowed = getattr(spec, attr, None)
+        for attr, allowed in (
+            ("load_dest_class", spec.load_dest_class),
+            ("store_src_class", spec.store_src_class),
+            ("loadimm_class", spec.loadimm_class),
+        ):
             if allowed is None:
                 continue
             if not allowed:
@@ -469,7 +471,7 @@ class _SpecLinter:
         for ir_op in sorted(set(spec.rules) & set(spec.imm_rules)):
             reg_rule = spec.rules[ir_op]
             imm_rule = spec.imm_rules[ir_op]
-            if imm_rule.imm_range is None and _cost(imm_rule) == _cost(reg_rule):
+            if imm_rule.imm_range is None and imm_rule.cost == reg_rule.cost:
                 self.add(
                     "SPEC033",
                     f"{ir_op} has a register rule and an unrestricted "
@@ -500,9 +502,8 @@ class _SpecLinter:
                     where=f"imm_rules[{ir_op}]",
                 )
         seen = {}
-        for collection in ("rules", "imm_rules"):
-            for ir_op in sorted(getattr(spec, collection)):
-                rule = getattr(spec, collection)[ir_op]
+        for collection, rules in (("rules", spec.rules), ("imm_rules", spec.imm_rules)):
+            for ir_op, rule in sorted(rules.items()):
                 shape = _template_shape(rule)
                 prior = seen.get(shape)
                 if prior is not None and prior != (collection, ir_op):
@@ -554,8 +555,7 @@ class _SpecLinter:
         templates = [rule.instrs for _w, rule in self._all_rules()]
         templates += [spec.load_template, spec.store_template, spec.reg_move]
         if spec.frame is not None:
-            templates.append(getattr(spec.frame, "print_template", None) or [])
-            templates.append(getattr(spec.frame, "exit_template", None) or [])
+            templates += [spec.frame.print_template, spec.frame.exit_template]
         for template in templates:
             for instr in template or ():
                 for op in instr.operands:
@@ -563,7 +563,7 @@ class _SpecLinter:
                     if mode is not None:
                         used.add(op.mode_id())
         if spec.frame is not None:
-            for mem in getattr(spec.frame, "slots", None) or ():
+            for mem in spec.frame.slots:
                 used.add(mem.mode_id())
         return used
 
@@ -588,11 +588,6 @@ def _def_use(effects):
     return uses, defs, ireg_reads, ireg_writes
 
 
-def _cost(rule):
-    base = getattr(rule, "cost_steps", None) or len(rule.instrs)
-    return base + getattr(rule, "cost_bias", 0)
-
-
 def _template_shape(rule):
     """Identity of an emission template: the instructions plus where the
     result lands (x86 Div and Mod share instructions and differ only in
@@ -602,7 +597,7 @@ def _template_shape(rule):
             (instr.mnemonic, tuple(op.key() for op in instr.operands))
             for instr in rule.instrs
         ),
-        getattr(rule, "result_literal", None),
+        rule.result_literal,
         bool(rule.right_imm),
         rule.imm_range,
     )

@@ -141,8 +141,7 @@ def _lower(instrs, mapping, builtin_ids):
 def _mem_slot(spec):
     """A frame slot DMem to exercise the load/store templates against,
     plus every base register the frame addresses through."""
-    frame = getattr(spec, "frame", None)
-    slots = getattr(frame, "slots", None) or []
+    slots = spec.frame.slots if spec.frame is not None else []
     bases = {s.base for s in slots if isinstance(s, DMem) and s.base}
     usable = [s for s in slots if isinstance(s, DMem) and isinstance(s.disp, int)]
     if not usable:
@@ -261,7 +260,7 @@ class _Verifier:
             "unverifiable": 0,
             "obligations": 0,
         }
-        self.registers = RegisterClasses(spec)
+        self.registers = RegisterClasses.of_spec(spec)
         _, self.frame_bases = _mem_slot(spec)
         # Registers whose concrete value carries addressing state: never
         # replace them with junk or symbolic noise.
@@ -354,7 +353,7 @@ class _Verifier:
             self._add("SPEC100", f"{where}: unknown IR operator {ir_op!r}", where)
             self.stats["unverifiable"] += 1
             return
-        imm_range = getattr(rule, "imm_range", None)
+        imm_range = rule.imm_range
         # The immediate stays an *unmasked* variable: codegen writes the
         # IR constant as-is (signed), and every reference operator is
         # well-defined on congruence classes, so both sides agree.
@@ -823,8 +822,8 @@ def diff_specs(spec_a, spec_b, model, seed=DEFAULT_SEED, label_a="A", label_b="B
             branches_a[relation], branches_b[relation], label_a, label_b,
         )
 
-    ranges_a = dict(getattr(spec_a, "imm_ranges", {}) or {})
-    ranges_b = dict(getattr(spec_b, "imm_ranges", {}) or {})
+    ranges_a = spec_a.imm_ranges
+    ranges_b = spec_b.imm_ranges
     for key in sorted(set(ranges_a) | set(ranges_b), key=repr):
         if ranges_a.get(key) != ranges_b.get(key):
             mnemonic, operand = key
@@ -894,8 +893,8 @@ def _diff_rule(diagnostics, va, vb, ir_op, rule_a, rule_b, where, label_a, label
 
     bounds = {}
     if imm:
-        range_a = getattr(rule_a, "imm_range", None)
-        range_b = getattr(rule_b, "imm_range", None)
+        range_a = rule_a.imm_range
+        range_b = rule_b.imm_range
         if range_a and range_b:
             lo = max(range_a[0], range_b[0])
             hi = min(range_a[1], range_b[1])

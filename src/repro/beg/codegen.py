@@ -45,7 +45,7 @@ class GeneratedBackend:
         # The last frame slot is reserved for the print idiom.
         self.print_slot = self.slots[-1]
         self.max_slots = len(self.slots) - 1
-        self.registers = RegisterClasses(spec)
+        self.registers = RegisterClasses.of_spec(spec)
 
     # ------------------------------------------------------------------
 
@@ -155,6 +155,7 @@ class GeneratedBackend:
             self._load(left_slot, inputs["left"])
         if "right" in inputs:
             self._load(right_slot, inputs["right"])
+        temps.release(left_slot, right_slot)
         self._emit(instantiate(rule.instrs, binding.mapping))
         out_slot = temps.take()
         if binding.out_reg is None:
@@ -211,17 +212,23 @@ class GeneratedBackend:
 
 
 class RegisterClasses:
-    """The registers a rule application may take: the allocatable pool
-    in order and the probed move classes as sets (None: unconstrained),
-    worked out once per spec."""
+    """The registers a rule application may take: a pool in order and
+    the probed move classes as sets (None: unconstrained)."""
 
-    def __init__(self, spec):
-        self.allocatable = tuple(spec.allocatable)
-        self.load_dest = _as_set(spec.load_dest_class)
-        self.store_src = _as_set(spec.store_src_class)
-        self.loadimm = _as_set(spec.loadimm_class)
+    def __init__(self, pool, load_dest=None, store_src=None, loadimm=None):
+        self.allocatable = tuple(pool)
+        self.load_dest = _as_set(load_dest)
+        self.store_src = _as_set(store_src)
+        self.loadimm = _as_set(loadimm)
         #: class for a general value register (loadable and storable)
         self.value = _intersect(self.load_dest, self.store_src)
+
+    @classmethod
+    def of_spec(cls, spec):
+        """A spec's allocatable registers and probed move classes."""
+        return cls(
+            spec.allocatable, spec.load_dest_class, spec.store_src_class, spec.loadimm_class
+        )
 
     def pool(self):
         """A fresh pool: registers live only inside one application."""
@@ -257,7 +264,7 @@ def bind_rule(rule, registers, right=False, imm=None):
     """
     pool = registers.pool()
     slots = rule.slots_used()
-    two_address = getattr(rule, "two_address", False)
+    two_address = rule.two_address
     inputs = {}
     result_reg = None
     if "result" in slots or two_address:
@@ -278,7 +285,7 @@ def bind_rule(rule, registers, right=False, imm=None):
     if result_reg is not None:
         mapping["result"] = DReg(result_reg)
     _check_bound(slots, mapping)
-    return Binding(mapping, inputs, getattr(rule, "result_literal", None) or result_reg)
+    return Binding(mapping, inputs, rule.result_literal or result_reg)
 
 
 def bind_branch(rule, registers, label):
@@ -335,15 +342,25 @@ def _imm_fits(rule, value):
 
 
 class _TempSlots:
-    """Per-statement temporary slot allocator."""
+    """Per-statement temporary slot allocator.  A temp is released once
+    the rule consuming it has loaded it; a fresh slot goes out before a
+    released one, so a statement that fits the fresh slots compiles as
+    if nothing were released."""
 
     def __init__(self, base, limit):
+        self.base = base
         self.next = base
         self.limit = limit
+        self.released = []
 
     def take(self):
-        if self.next >= self.limit:
-            raise BackendError("expression too deep for the frame's temp slots")
-        slot = self.next
-        self.next += 1
-        return slot
+        if self.next < self.limit:
+            self.next += 1
+            return self.next - 1
+        if self.released:
+            return self.released.pop()
+        raise BackendError("expression too deep for the frame's temp slots")
+
+    def release(self, *slots):
+        # slots below ``base`` are locals, and None is an absent operand
+        self.released += [s for s in slots if s is not None and s >= self.base]

@@ -25,7 +25,11 @@ class OpRule:
     operand is an immediate (with the probed ``imm_range`` CONDITION,
     paper Figure 15(d)); ``verified`` records that the composed
     semantics of the sequence matched the IR operator (the Combiner's
-    check).
+    check), ``runtime_verified`` that the instantiated rule printed the
+    operator's value on the target.
+
+    Every field has a plain default, so a checkpoint frozen before a
+    field was declared still thaws: the class attribute stands in.
     """
 
     ir_op: str
@@ -42,9 +46,24 @@ class OpRule:
     #: added to the rendered COST so equal-cost register/immediate rules for
     #: the same operator order reproducibly instead of tying
     cost_bias: int = 0
+    #: the result overwrites the left operand's register (x86 ``addl``)
+    two_address: bool = False
+    #: the implicit register the result lands in, kept literal in the
+    #: template (x86 ``idivl`` leaves it in ``%eax`` or ``%edx``)
+    result_literal: str | None = None
+    runtime_verified: bool = False
+    #: measured execution steps over an empty scaffold (paper 7.2.1's
+    #: "crude instruction timings"); None until the runtime check
+    cost_steps: int | None = None
 
     def slots_used(self):
         return template_slots(self.instrs)
+
+    @property
+    def cost(self):
+        """The rendered COST: measured steps, else the instruction
+        count, plus the tie-break bias."""
+        return (self.cost_steps or len(self.instrs)) + self.cost_bias
 
 
 @dataclass
@@ -129,9 +148,7 @@ class MachineSpec:
         if rule.imm_range is not None:
             lo, hi = rule.imm_range
             lines.append(f"  CONDITION {{ (b.val >= {lo}) AND (b.val <= {hi}) }};")
-        cost = getattr(rule, "cost_steps", None) or len(rule.instrs)
-        cost += getattr(rule, "cost_bias", 0)
-        lines.append(f"  COST {cost};")
+        lines.append(f"  COST {rule.cost};")
         lines.append("  EMIT {")
         for instr in rule.instrs:
             lines.append(f"    {self._render_template(instr, syntax)}")

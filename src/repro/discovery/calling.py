@@ -91,7 +91,7 @@ class CallAnalysis:
 
     def _sample(self, shape):
         for sample in self.corpus.usable_samples(kind="call"):
-            if sample.shape == shape and getattr(sample, "info", None):
+            if sample.shape == shape and sample.info is not None:
                 return sample
         raise DiscoveryError(f"call sample {shape} unavailable")
 

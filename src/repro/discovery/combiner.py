@@ -232,7 +232,10 @@ class Combiner:
         found = self.find(ir_op)
         if found is None:
             return None
-        rule = OpRule(ir_op=ir_op, instrs=found.instrs, verified=True)
-        rule.source_sample = f"combiner({'+'.join(found.keys)})"
-        rule.two_address = found.two_address
-        return rule
+        return OpRule(
+            ir_op=ir_op,
+            instrs=found.instrs,
+            verified=True,
+            source_sample=f"combiner({'+'.join(found.keys)})",
+            two_address=found.two_address,
+        )

@@ -518,7 +518,7 @@ class ExtractionEngine:
         self._samples = [
             s
             for s in corpus.usable_samples()
-            if s.kind in ReverseInterpreter.RI_KINDS and getattr(s, "info", None) is not None
+            if s.kind in ReverseInterpreter.RI_KINDS and s.info is not None
         ]
         self.regions = RegionTable()
         for sample in self._samples:

@@ -58,12 +58,6 @@ class RegionInfo:
     implicit_maybe: dict = field(default_factory=dict)
     dependent_regs: list = field(default_factory=list)
 
-    def all_implicit_candidates(self, index):
-        out = set(self.implicit_in.get(index, ()))
-        out |= self.implicit_out.get(index, set())
-        out |= self.implicit_maybe.get(index, set())
-        return out
-
 
 class Preprocessor:
     def __init__(self, engine):

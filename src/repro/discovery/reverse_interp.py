@@ -608,8 +608,8 @@ class ReverseInterpreter:
             pending = still
         for pos, sample in enumerate(pending):
             if self.prefetch is not None:
-                # Revision re-enumerates every key of the sample, known
-                # or not -- warm them all.
+                # Revision re-enumerates each key of the sample in turn,
+                # known or not -- warm them all.
                 self.prefetch(pending[pos:], result, revision=True)
             if not _is_degenerate(sample) and self._solve_with_revision(sample, result):
                 result.solved.append(sample.name)
@@ -630,7 +630,8 @@ class ReverseInterpreter:
         keys are all known is first checked as it stands.  Keys are then
         revised least-supported first: a key that many solved samples
         rely on rarely has another reading that keeps them all, and each
-        failed revision exhausts its search."""
+        failed revision exhausts its search.  A sample no single revision
+        explains fails."""
         keys = self._keys(sample)
         known = [k for k in keys if k in result.semantics]
         if len(known) == len(keys) and self._solve(sample, result):
@@ -641,7 +642,7 @@ class ReverseInterpreter:
             if self._solve(sample, result):
                 return True
             result.semantics[key] = saved
-        return self._solve(sample, result, allow_revision=True)
+        return False
 
     # ------------------------------------------------------------------
 
@@ -662,14 +663,10 @@ class ReverseInterpreter:
             raise DiscoveryError(f"lost instruction {key}")
         return index
 
-    def _solve(self, sample, result, allow_revision=False):
+    def _solve(self, sample, result):
         sem = result.effects_map()
         keys = self._keys(sample)
-        if allow_revision:
-            unknown = list(keys)
-            sem = {k: v for k, v in sem.items() if k not in keys}
-        else:
-            unknown = [k for k in keys if k not in sem]
+        unknown = [k for k in keys if k not in sem]
         if not unknown:
             result.interpretations_tried += 1
             ok = check_sample(sample, sem, self.addr_map, self.bits, self.regions.of(sample))

@@ -34,6 +34,10 @@ class Sample:
     region: list = field(default_factory=list)
     post_lines: list = field(default_factory=list)
     # Filled by the Preprocessor:
+    info: object = None  # preprocess.RegionInfo
+    #: the region before redundant-instruction elimination (the
+    #: calling-convention analysis reads stack clean-ups from it)
+    region_original: list | None = None
     dfg: object = None
     notes: list = field(default_factory=list)
     discarded: str | None = None  # reason, if analysis gave up on it

@@ -37,7 +37,6 @@ class LoadImmTemplate:
     mnemonic: str
     imm_index: int
     reg_index: int
-    arity: int = 2
 
     def instr(self, value, reg, imm_prefix=""):
         """The instruction, its rendered text formatted straight from
@@ -68,7 +67,7 @@ class _LoadImmInstr(DInstr):
         if name != "operands":
             raise AttributeError(name)
         template, value, reg, imm_prefix = self._parts
-        operands = [None] * template.arity
+        operands = [None, None]
         operands[template.imm_index] = DImm(value, imm_prefix)
         operands[template.reg_index] = DReg(reg)
         self.operands = operands

@@ -18,12 +18,17 @@ from __future__ import annotations
 import random
 
 from repro import wordops
+from repro.beg.codegen import BackendError, RegisterClasses, bind_rule
 from repro.beg.ir import OPERATOR_TABLE
 from repro.beg.spec import MachineSpec, OpRule
 from repro.discovery import probe
 from repro.discovery.asmmodel import DImm, DMem, DReg, DSym, Slot, instantiate, template_slots
 from repro.discovery.reverse_interp import interpret_region, opkey
 from repro.errors import AssemblerError, DiscoveryError, LinkerError
+
+#: ``Synthesizer._baseline_steps`` before the bare scaffold has run
+_UNMEASURED = object()
+
 
 class Synthesizer:
     def __init__(self, engine, addr_map, extraction, enq, log=None, seed=0x5EED):
@@ -39,6 +44,10 @@ class Synthesizer:
         self.log = log or probe.ProbeLog()
         self.seed = seed
         self.rng = random.Random(seed)
+        #: keys of the round-tripped load and store (see _move_templates)
+        self._trusted_moves = None
+        self._baseline_steps = _UNMEASURED
+        self._common_safe_cache = None
 
     # ------------------------------------------------------------------
 
@@ -82,9 +91,7 @@ class Synthesizer:
             imm_rule = spec.imm_rules[ir_op]
             if imm_rule.imm_range is not None:
                 continue
-            reg_cost = getattr(reg_rule, "cost_steps", None) or len(reg_rule.instrs)
-            imm_cost = getattr(imm_rule, "cost_steps", None) or len(imm_rule.instrs)
-            if reg_cost == imm_cost:
+            if reg_rule.cost == imm_rule.cost:
                 reg_rule.cost_bias = 1
 
     def _register_classes(self, spec):
@@ -333,7 +340,7 @@ class Synthesizer:
             if sample is None:
                 continue
             try:
-                rule = self._build_rule(sample, row.ir, unary=True)
+                rule = self._build_rule(sample, row.ir)
             except DiscoveryError as exc:
                 spec.notes.append(f"{row.ir}: {exc}")
                 continue
@@ -377,7 +384,7 @@ class Synthesizer:
         loads = {}
         store_idx = None
         core = []
-        trusted = getattr(self, "_trusted_moves", None)
+        trusted = self._trusted_moves
         for index, instr in enumerate(sample.region):
             if not instr.mnemonic:
                 continue
@@ -414,8 +421,7 @@ class Synthesizer:
                 return live
         return None
 
-    def _build_rule(self, sample, ir_op, unary=False, imm_right=False,
-                    keep_scratch_literal=False):
+    def _build_rule(self, sample, ir_op, imm_right=False, keep_scratch_literal=False):
         loads, store_idx, core = self._classify_region(sample)
         if not core:
             raise DiscoveryError("empty computation core")
@@ -472,7 +478,6 @@ class Synthesizer:
 
         # Build the template from the core.
         template = []
-        imm_slot_used = False
         for index in core:
             instr = sample.region[index]
             operands = []
@@ -492,22 +497,18 @@ class Synthesizer:
                         slot = Slot("result")
                 elif isinstance(op, DImm) and imm_right and op.value == sample_konst(sample):
                     slot = Slot("imm")
-                    imm_slot_used = True
                 operands.append(slot if slot is not None else op)
             template.append(instr.clone(labels=[], operands=operands, glued=False))
-        del imm_slot_used
 
-        rule = OpRule(
+        return OpRule(
             ir_op=ir_op,
             instrs=template,
             right_imm=imm_right,
             scratches=scratch_count,
             source_sample=sample.name,
+            two_address=two_address,
+            result_literal=result_literal,
         )
-        rule.two_address = two_address
-        rule.result_literal = result_literal
-        rule.unary = unary
-        return rule
 
     # -- the Combiner's semantic verification -----------------------------------
 
@@ -637,15 +638,17 @@ class Synthesizer:
 
     def _runtime_check_rule(self, spec, rule, row, imm=None):
         """Execute the instantiated rule on the target and compare with
-        the intermediate-code operator -- the Combiner's last word."""
+        the intermediate-code operator -- the Combiner's last word.  The
+        rule's slots are bound as the back end binds them, over this
+        Synthesizer's register pool."""
         frame = spec.frame
         if frame is None or not frame.print_template or not spec.load_template:
             return True  # no runtime scaffold; accept the semantic check
         literal_regs = _rule_literal_regs(rule)
         pool = [r for r in self._register_pool() if r not in literal_regs]
-        needed = sorted(rule.slots_used())
+        needed = rule.slots_used()
         regs_needed = sum(1 for n in needed if n not in ("imm", "label"))
-        if getattr(rule, "two_address", False) and "result" not in needed:
+        if rule.two_address and "result" not in needed:
             regs_needed += 1
         if len(pool) < regs_needed + 1:
             return True
@@ -654,46 +657,25 @@ class Synthesizer:
             right = imm
         operands = (left, right)[: row.arity]
         expected = wordops.to_signed(row.word(*operands, self.bits), self.bits)
-
-        mapping = {}
-        index = 0
-        classes = rule.slot_classes
-        taken = set()
-
-        def fresh_reg(slot=None):
-            nonlocal index
-            candidates = classes.get(slot) or pool
-            for reg in candidates:
-                if reg in pool and reg not in taken:
-                    taken.add(reg)
-                    return reg
-            reg = pool[index % len(pool)]
-            index += 1
-            return reg
-
-        body = []
-        result_reg = None
-        if "result" in needed or getattr(rule, "two_address", False):
-            result_reg = fresh_reg("result")
-            mapping["result"] = DReg(result_reg)
-        if "left" in needed or getattr(rule, "two_address", False):
-            left_reg = result_reg if getattr(rule, "two_address", False) else fresh_reg("left")
-            body.append(self.syntax.load_imm_instr(left, left_reg))
-            mapping["left"] = DReg(left_reg)
-        if "right" in needed:
-            right_reg = fresh_reg("right")
-            body.append(self.syntax.load_imm_instr(right, right_reg))
-            mapping["right"] = DReg(right_reg)
-        if "imm" in needed:
-            mapping["imm"] = DImm(right, self.syntax.imm_prefix)
-        for name in needed:
-            if name.startswith("scratch"):
-                mapping[name] = DReg(fresh_reg(name))
-        body.extend(instantiate(rule.instrs, mapping))
-        out_reg = getattr(rule, "result_literal", None) or result_reg
-        if out_reg is None:
+        try:
+            binding = bind_rule(
+                rule,
+                RegisterClasses(pool),
+                right=True,
+                imm=None if imm is None else DImm(imm, self.syntax.imm_prefix),
+            )
+        except BackendError:
+            return False
+        if binding.out_reg is None:
             return True
-        result = self._run_scaffold(frame, spec.store_template, body, out_reg)
+        inputs = binding.input_regs
+        body = [
+            self.syntax.load_imm_instr(value, inputs[name])
+            for name, value in (("left", left), ("right", right))
+            if name in inputs
+        ]
+        body.extend(instantiate(rule.instrs, binding.mapping))
+        result = self._run_scaffold(frame, spec.store_template, body, binding.out_reg)
         ok = _printed(result, expected)
         if ok:
             rule.runtime_verified = True
@@ -707,7 +689,7 @@ class Synthesizer:
 
     def _scaffold_baseline_steps(self, spec):
         """Steps of the bare store+print+exit scaffold (cached)."""
-        if not hasattr(self, "_baseline_steps"):
+        if self._baseline_steps is _UNMEASURED:
             frame = spec.frame
             pool = self._register_pool()
             result = None
@@ -805,7 +787,7 @@ class Synthesizer:
     # -- allocatable registers ----------------------------------------------------------
 
     def _common_safe(self):
-        if not hasattr(self, "_common_safe_cache"):
+        if self._common_safe_cache is None:
             sets = []
             for sample in self.corpus.usable_samples(kind="literal"):
                 sets.append(set(self.engine.clobber_safe_registers(sample)))
@@ -884,7 +866,7 @@ def _rule_literal_regs(rule):
     regs = set()
     for instr in rule.instrs:
         regs |= _instr_regs(instr)
-    if getattr(rule, "result_literal", None):
+    if rule.result_literal:
         regs.add(rule.result_literal)
     return regs
 

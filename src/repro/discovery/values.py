@@ -81,16 +81,6 @@ def choose_pair(rng, bits=32, lo=2, hi=5000, constraint=None, op=None, attempts=
     raise RuntimeError("could not find distinguishing initialisation values")
 
 
-def choose_shift_pair(rng, bits=32, op="<<", attempts=5000):
-    """Shift counts must stay small; keep distinctness for the rest."""
-    for _ in range(attempts):
-        b = rng.randint(301, 5000)
-        c = rng.randint(2, 8)
-        if values_distinct(b, c, bits, op):
-            return b, c
-    raise RuntimeError("could not find distinguishing shift values")
-
-
 def choose_single(rng, bits=32, lo=2, hi=5000):
     """One value, avoiding the degenerate 0/1 fixpoints."""
     while True:

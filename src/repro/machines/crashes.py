@@ -224,9 +224,6 @@ class FleetKillPlan:
             return plans[attempt - 1].spec()
         return None
 
-    def total_kills(self):
-        return sum(len(plans) for plans in self.schedule.values())
-
     def describe(self):
         lines = []
         for target, plans in self.schedule.items():

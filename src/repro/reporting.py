@@ -50,7 +50,7 @@ def write_report(report, directory):
     dot_dir = out / "dfg"
     dot_dir.mkdir(exist_ok=True)
     for sample in report.corpus.usable_samples():
-        if sample.kind != "binary" or getattr(sample, "info", None) is None:
+        if sample.kind != "binary" or sample.info is None:
             continue
         if not sample.shape == "a=b@c":
             continue

@@ -30,7 +30,7 @@ PINNED = {
     ),
     "vax": (
         "7b3636ff01ffac6cb08a1fd83530ea88f44d240b2d0d1979fed8293914b012df",
-        3072, 2990, 299, 49, 632,
+        2534, 2452, 299, 49, 632,
     ),
     "m68k": (
         "d538d580ba151055014c8497bf38c001ed1676053cd96f3e932284273689169e",

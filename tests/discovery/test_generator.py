@@ -10,6 +10,7 @@ from repro.beg.ir import operator_spelled
 from repro.discovery import values as mc
 from repro.discovery.generator import BINARY_ROWS, BINARY_SHAPES
 from repro.discovery.samples import make_init_source, make_main_source
+from repro.discovery.synthesize import _op_constraint
 from tests.discovery.conftest import sample_named
 
 
@@ -76,25 +77,13 @@ class TestMonteCarloValues:
         b, c = mc.choose_pair(rng, 32, op="*")
         assert mc.values_distinct(b, c, 32, op="*")
 
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_shift_pairs_have_small_counts(self, seed):
-        rng = random.Random(seed)
-        b, c = mc.choose_shift_pair(rng, 32)
-        assert 2 <= c <= 8
-        assert b > 300
-
     @pytest.mark.parametrize("op", [row.spelling for row in BINARY_ROWS])
     def test_distinctness_separates_the_operator(self, op):
         rng = random.Random(1234)
-        constraint = None
-        if op in ("/", "%"):
-            constraint = lambda x, y: x > y * 3 and x % y != 0
-        if op in ("<<", ">>"):
-            b, c = mc.choose_shift_pair(rng, 32, op)
-        else:
-            b, c = mc.choose_pair(rng, 32, constraint=constraint, op=op)
+        row = operator_spelled(op)
+        b, c = mc.choose_pair(rng, 32, constraint=_op_constraint(row), op=op)
         results = dict(mc._candidate_results(b, c, 32))
-        name = operator_spelled(op).stem
+        name = row.stem
         target = results[name]
         clashes = [n for n, v in results.items() if v == target and n != name]
         assert not clashes

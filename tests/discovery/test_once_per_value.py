@@ -180,8 +180,13 @@ def leaf_shapes(report):
     offer: its operand positions plus its implicit-register candidates."""
     shapes = set()
     for sample in _preprocessed(report):
+        info = sample.info
         for index, instr in enumerate(sample.region):
-            implicit = sorted(sample.info.all_implicit_candidates(index))
+            implicit = sorted(
+                set(info.implicit_in.get(index, ()))
+                | info.implicit_out.get(index, set())
+                | info.implicit_maybe.get(index, set())
+            )
             shapes.add(
                 tuple(("val", k) for k in range(len(instr.operands)))
                 + tuple(("ireg", reg) for reg in implicit)
@@ -284,7 +289,7 @@ def test_load_immediates_from_text_equal_the_operand_form(target):
     edges |= {-(1 << (bits - 1)), (1 << (bits - 1)) - 1}
     for value in sorted(edges):
         instr = syntax.load_imm_instr(value, reg)
-        expected = [None] * template.arity
+        expected = [None, None]
         expected[template.imm_index] = DImm(value, syntax.imm_prefix)
         expected[template.reg_index] = DReg(reg)
         assert syntax.render_instr(instr) == ref_render_instr(syntax, instr)

@@ -122,12 +122,28 @@ def test_too_deep_expression_is_reported(ac):
 
     report = discovery_report("x86")
     backend = GeneratedBackend(report.spec)
+    # Each level holds its left constant's temp while the right operand
+    # is evaluated, so 30 levels need 30 temps at once.
     expr = "1"
     for _ in range(30):
-        expr = f"({expr} + 1)"
+        expr = f"(1 + {expr})"
     program = compile_to_ir(f"print {expr};")
     with pytest.raises(BackendError):
         backend.compile_ir(program)
+
+
+def test_consumed_temps_are_reused(target):
+    """A temp is free again once the rule consuming it has loaded it:
+    a sum of sixteen locals makes 15 partial sums, more than the temps
+    the frame has left, but holds only one at a time."""
+    report = discovery_report(target)
+    names = [f"L{i}" for i in range(16)]
+    assigns = " ".join(f"{name} := {7 * i + 3};" for i, name in enumerate(names))
+    program = compile_to_ir(f"var {', '.join(names)}; {assigns} print {' + '.join(names)};")
+    asm = GeneratedBackend(report.spec).compile_ir(program)
+    result = report.corpus.machine.run_asm([asm])
+    assert result.ok, result.error
+    assert result.output == eval_program(program, bits=report.enquire.word_bits)
 
 
 def test_reference_interpreter_agrees_with_itself(target):
