@@ -10,6 +10,7 @@ parametrization updates only its entry.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
@@ -17,7 +18,14 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
 def record(module, payload):
     """Merge *payload* (a dict of test-name -> numbers) into the
-    module's BENCH json; returns the path written."""
+    module's BENCH json; returns the path written.  Each test's entry
+    is stamped with ``usable_cpus``, the CPUs this process may run on,
+    so a record says what host it was taken on."""
+    usable_cpus = len(os.sched_getaffinity(0))
+    payload = {
+        name: {**entry, "usable_cpus": usable_cpus} if isinstance(entry, dict) else entry
+        for name, entry in payload.items()
+    }
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"BENCH_{module}.json"
     existing = {}

@@ -75,7 +75,6 @@ def test_extraction_speedup_procs4_five_architectures(tmp_path_factory):
     payload = {
         "targets": list(FIVE_TARGETS),
         "phases": list(CPU_PHASES),
-        "usable_cpus": USABLE_CPUS,
         "procs1_wall_s": round(wall_1, 4),
         "procs1_cpu_s": round(cpu_1, 4),
         "procs4_wall_s": round(wall_4, 4),

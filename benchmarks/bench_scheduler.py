@@ -20,10 +20,6 @@ from repro.machines.machine import RemoteMachine
 
 LATENCY = float(os.environ.get("REPRO_BENCH_LATENCY", "0.002"))
 
-#: CPUs this process may run on: worker overlap hides round trips, but
-#: the discovery's own Python still shares these cores
-USABLE_CPUS = len(os.sched_getaffinity(0))
-
 #: the paper's five architectures (m68k is this repo's extra validation
 #: target and stays out of the headline suite)
 FIVE_TARGETS = tuple(t for t in TARGETS if t != "m68k")
@@ -58,7 +54,6 @@ def test_speedup_workers4_five_architectures(benchmark):
         {
             "targets": list(FIVE_TARGETS),
             "latency_s": LATENCY,
-            "usable_cpus": USABLE_CPUS,
             "workers1_seconds": round(serial_s, 2),
             "workers4_seconds": round(fanned_s, 2),
             "speedup": round(speedup, 2),
@@ -85,7 +80,6 @@ def test_worker_sweep_x86(benchmark):
     benchmark.extra_info.update(
         {
             "latency_s": LATENCY,
-            "usable_cpus": USABLE_CPUS,
             "seconds_by_workers": {str(w): s for w, s in times.items()},
         }
     )
@@ -113,7 +107,6 @@ def test_cache_warm_vs_cold_x86(benchmark, tmp_path):
     benchmark.extra_info.update(
         {
             "latency_s": LATENCY,
-            "usable_cpus": USABLE_CPUS,
             "cold_seconds": round(cold_s, 2),
             "warm_seconds": round(warm_s, 2),
             "warm_speedup": round(cold_s / warm_s, 2),

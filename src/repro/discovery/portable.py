@@ -45,6 +45,7 @@ decided*, never *when*, so equal runs freeze to equal bytes.
 from __future__ import annotations
 
 import base64
+import dataclasses
 import gc
 import json
 import math
@@ -72,12 +73,21 @@ class PortableError(DiscoveryError):
 
 class _Entry:
     """How one class freezes: which attributes to drop, and how to
-    finish a thawed instance (rebuild the dropped runtime bits)."""
+    finish a thawed instance (rebuild the dropped runtime bits).
+
+    ``fields`` is what a thawed dataclass instance may carry, its
+    declared fields less ``exclude`` (None for any other class): a
+    checkpoint written by an older tree may hold attributes the class
+    has since retired, and they are not restored."""
 
     def __init__(self, cls, exclude=(), restore=None):
         self.cls = cls
         self.exclude = frozenset(exclude)
         self.restore = restore
+        self.fields = None
+        if dataclasses.is_dataclass(cls):
+            declared = frozenset(f.name for f in dataclasses.fields(cls))
+            self.fields = declared - self.exclude
 
 
 def _restore_corpus(corpus):
@@ -363,7 +373,10 @@ class _Thawer:
                 if entry is None:
                     raise PortableError(f"unknown portable class tag {data['t']!r}")
                 obj = self.memo[data["i"]] = entry.cls.__new__(entry.cls)
-                obj.__dict__.update(self.thaw(data["s"]))
+                state = self.thaw(data["s"])
+                if entry.fields is not None and not entry.fields.issuperset(state):
+                    state = {k: v for k, v in dict(state).items() if k in entry.fields}
+                obj.__dict__.update(state)
                 if entry.restore is not None:
                     entry.restore(obj)
                 return obj

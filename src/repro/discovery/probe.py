@@ -178,36 +178,55 @@ def _register_seeds(syntax, parsed_texts):
     tokens co-occurring with already-confirmed candidates.  Each of
     *parsed_texts* is a text's (index, :class:`RawLine`) list."""
     seeds = set(syntax.registers)
-    cooccur = []
+    kinds = {}  # operand token -> (base register or None, is an identifier)
+    groups = {}  # the identifiers of one instruction line, in order -> None
     for parsed in parsed_texts:
         for _index, line in parsed:
             if line.mnemonic is None or line.is_directive:
                 continue
             idents = []
             for token in line.operand_texts:
-                for pattern in (_PAREN_TOKEN, _BRACKET_TOKEN):
-                    match = pattern.match(token)
-                    if match and is_identifier(match.group(1)):
-                        seeds.add(match.group(1))
-                if token.startswith(syntax.imm_prefix) and syntax.imm_prefix:
-                    continue
-                if syntax.parse_int(token) is not None:
-                    continue
-                if is_identifier(token):
+                kind = kinds.get(token)
+                if kind is None:
+                    kind = kinds[token] = _token_kind(syntax, token)
+                base, ident = kind
+                if base is not None:
+                    seeds.add(base)
+                if ident:
                     idents.append(token)
             if idents:
-                cooccur.append(idents)
-    # Transitive closure of "appears in an instruction with a register".
-    changed = True
-    while changed:
-        changed = False
-        for idents in cooccur:
-            if any(tok in seeds for tok in idents):
-                for tok in idents:
-                    if tok not in seeds:
-                        seeds.add(tok)
-                        changed = True
+                groups[tuple(idents)] = None
+    # Transitive closure of "appears in an instruction with a register":
+    # each group is opened once, by the first of its tokens to become a seed.
+    groups_of = {}
+    for group in groups:
+        for token in group:
+            groups_of.setdefault(token, []).append(group)
+    work = [token for token in groups_of if token in seeds]
+    opened = set()
+    while work:
+        for group in groups_of[work.pop()]:
+            if group not in opened:
+                opened.add(group)
+                for token in group:
+                    if token not in seeds:
+                        seeds.add(token)
+                        work.append(token)
     return seeds
+
+
+def _token_kind(syntax, token):
+    """``(base, ident)`` for one operand token: the identifier inside its
+    parentheses or brackets (a base register), or None; and whether the
+    token itself is an identifier, not an immediate or integer."""
+    base = None
+    for pattern in (_PAREN_TOKEN, _BRACKET_TOKEN):
+        match = pattern.match(token)
+        if match and is_identifier(match.group(1)):
+            base = match.group(1)
+    if syntax.imm_prefix and token.startswith(syntax.imm_prefix):
+        return base, False
+    return base, syntax.parse_int(token) is None and is_identifier(token)
 
 
 def _expansion_candidates(confirmed):

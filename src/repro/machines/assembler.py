@@ -9,9 +9,12 @@ which simply crash on the first error are quite acceptable").
 
 Discovery reassembles near-identical texts thousands of times (a
 mutation changes one or two lines of a sample), so each
-:class:`Assembler` memoises the parse of every instruction line it has
-seen -- or the message it rejected it with -- keyed by the line's text
-once comments and labels are gone.
+:class:`Assembler` memoises what every raw line it has seen holds: its
+labels, then a directive or an instruction's parse (or the message it
+rejected it with).  Most lines it has not seen are load-immediates with
+a fresh value, so below that memo it parses each operand text once
+(literal immediates excepted) and selects forms per operand shape,
+leaving only the range check to run per value.
 """
 
 from __future__ import annotations
@@ -20,30 +23,32 @@ import re
 from dataclasses import dataclass, field
 
 from repro.errors import AssemblerError
-from repro.machines.operands import Imm, Lab, Mem, Reg, Sym
+from repro.machines.operands import Bare, Imm, Lab, Mem, Reg, Sym
 
-#: the line memo is emptied when it holds this many entries; on every
-#: target its hit rate stays within half a point of an unbounded memo
+#: each of an assembler's tables is emptied when it holds this many
+#: entries; on every target the line memo's hit rate stays within half a
+#: point of an unbounded memo
 LINE_MEMO_CAP = 4096
 
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][A-Za-z0-9_.$]*)\s*:\s*(.*)$")
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", '"': '"'}
 
+_BRACKETS = frozenset("()[]")
+
+#: the shape code of a literal immediate (see :func:`_shape_code`)
+_LITERAL = (Imm, False)
+
 
 @dataclass
 class TextInstr:
-    """One assembled instruction (pre-link: operands may contain Syms).
-
-    ``symbolic`` says whether any operand holds a :class:`Sym` the
-    linker must resolve; one without is linked as is."""
+    """One assembled instruction (pre-link: operands may contain Syms)."""
 
     mnemonic: str
     form: object
     operands: list
     lineno: int
     text: str
-    symbolic: bool
 
 
 @dataclass
@@ -58,13 +63,19 @@ class DataEntry:
 
 @dataclass
 class ObjectFile:
-    """Result of assembling one compilation unit."""
+    """Result of assembling one compilation unit.
+
+    ``relocations`` lists, in order, the indices of the instructions
+    with an operand holding a :class:`Sym` the linker must resolve; the
+    linker takes every other instruction as it is.  The assembler fills
+    it in as it appends those instructions."""
 
     isa_name: str
     instrs: list = field(default_factory=list)
     text_labels: dict = field(default_factory=dict)
     data: list = field(default_factory=list)
     exports: set = field(default_factory=set)
+    relocations: list = field(default_factory=list, init=False)
 
     def local_label_names(self):
         names = set(self.text_labels)
@@ -92,6 +103,9 @@ def _unescape(body, lineno):
 def split_operands(text):
     """Split an operand list on top-level commas (commas inside parens or
     brackets belong to a single operand)."""
+    if _BRACKETS.isdisjoint(text):
+        parts = [part.strip() for part in text.split(",")]
+        return parts if len(parts) > 1 or parts[0] else []
     parts = []
     depth = 0
     current = []
@@ -116,47 +130,47 @@ class Assembler:
 
     def __init__(self, isa):
         self.isa = isa
-        #: instruction text -> (mnemonic, form, operands, symbolic), or
-        #: the rejection message
+        #: raw line -> ``(labels, statement, parsed)`` (see :meth:`_read_line`)
         self._memo = {}
+        #: operand text -> ``(operand, shape code, unknown register or
+        #: None)``, or the rejection message; literal immediates stay out
+        self._operands = {}
+        #: ``(mnemonic, shape codes)`` -> ``(Isa.form_shape, symbolic)``
+        self._shapes = {}
 
     def assemble(self, source):
         obj = ObjectFile(isa_name=self.isa.name)
         section = "text"
         pending_labels = []
+        instrs = obj.instrs
+        memo = self._memo
         for lineno, raw in enumerate(source.splitlines(), start=1):
-            line = self._strip_comment(raw).strip()
-            if not line:
+            read = memo.get(raw)
+            if read is None:
+                read = self._read_line(raw)
+                _remember(memo, raw, read)
+            labels, line, parsed = read
+            if labels:
+                pending_labels.extend(labels)
+            if line is None:
                 continue
-            # Peel off any leading labels (there may be several).
-            while True:
-                match = _LABEL_RE.match(line)
-                if not match:
-                    break
-                pending_labels.append(match.group(1))
-                line = match.group(2).strip()
-            if not line:
-                continue
-            if line.startswith("."):
+            if parsed is None:
                 section, consumed = self._directive(obj, section, line, pending_labels, lineno)
                 if consumed:
                     pending_labels = []
                 continue
             if section != "text":
                 raise AssemblerError("instruction outside .text section", lineno)
-            for label in pending_labels:
-                self._def_text_label(obj, label, lineno)
-            pending_labels = []
-            parsed = self._memo.get(line)
-            if parsed is None:
-                parsed = self._parse_instruction(line)
-                if len(self._memo) >= LINE_MEMO_CAP:
-                    self._memo.clear()
-                self._memo[line] = parsed
+            if pending_labels:
+                for label in pending_labels:
+                    self._def_text_label(obj, label, lineno)
+                pending_labels = []
             if isinstance(parsed, str):
                 raise AssemblerError(parsed, lineno)
             mnemonic, form, operands, symbolic = parsed
-            obj.instrs.append(TextInstr(mnemonic, form, list(operands), lineno, line, symbolic))
+            if symbolic:
+                obj.relocations.append(len(instrs))
+            instrs.append(TextInstr(mnemonic, form, list(operands), lineno, line))
         # Labels trailing the last instruction point one past the end.
         if section == "text":
             for label in pending_labels:
@@ -165,11 +179,29 @@ class Assembler:
 
     # -- helpers -------------------------------------------------------
 
-    def _strip_comment(self, line):
-        cut = line.find(self.isa.syntax.comment_char)
-        if cut >= 0:
-            return line[:cut]
-        return line
+    def _read_line(self, raw):
+        """What one raw line holds: ``(labels, statement, parsed)``.
+
+        *statement* is the text left once the comment and leading labels
+        are gone, or None when nothing is left; *parsed* is None for a
+        directive (handled on every assembly, as it depends on the
+        section), else :meth:`_parse_instruction`'s answer."""
+        cut = raw.find(self.isa.syntax.comment_char)
+        line = (raw if cut < 0 else raw[:cut]).strip()
+        labels = []
+        # Peel off any leading labels (there may be several).
+        while ":" in line:
+            match = _LABEL_RE.match(line)
+            if not match:
+                break
+            labels.append(match.group(1))
+            line = match.group(2).strip()
+        labels = tuple(labels)
+        if not line:
+            return labels, None, None
+        if line.startswith("."):
+            return labels, line, None
+        return labels, line, self._parse_instruction(line)
 
     def _def_text_label(self, obj, label, lineno):
         if label in obj.text_labels:
@@ -257,20 +289,62 @@ class Assembler:
         if mnemonic not in self.isa.instructions:
             return f"unknown instruction {mnemonic!r}"
         operand_text = parts[1].strip() if len(parts) > 1 else ""
-        texts = split_operands(operand_text) if operand_text else []
-        try:
-            operands = [self.isa.syntax.parse_operand(t) for t in texts]
-        except ValueError as exc:
-            return f"malformed operand: {exc}"
-        for op in operands:
-            name = op.name if isinstance(op, Reg) else getattr(op, "base", None)
-            if name is not None and self.isa.lookup_reg(name) is None:
-                return f"unknown register {name!r}"
-        form, coerced, why = self.isa.match_form(mnemonic, operands)
+        operands, codes, unknown = [], [], None
+        for text in split_operands(operand_text) if operand_text else ():
+            read = self._operands.get(text)
+            if read is None:
+                read = self._read_operand(text)
+                if isinstance(read, str) or read[1] != _LITERAL:
+                    _remember(self._operands, text, read)
+            if isinstance(read, str):
+                return read
+            op, code, register = read
+            if unknown is None:
+                unknown = register
+            operands.append(op)
+            codes.append(code)
+        if unknown is not None:
+            return f"unknown register {unknown!r}"
+        key = (mnemonic, tuple(codes))
+        shape = self._shapes.get(key)
+        if shape is None:
+            symbolic = any(isinstance(op, Bare) or _holds_sym(op) for op in operands)
+            shape = (self.isa.form_shape(mnemonic, operands), symbolic)
+            _remember(self._shapes, key, shape)
+        form_shape, symbolic = shape
+        form, coerced, why = self.isa.select_form(form_shape, operands)
         if form is None:
             return f"{mnemonic}: {why or 'no matching form'}"
-        symbolic = any(_holds_sym(op) for op in coerced)
         return mnemonic, form, tuple(coerced), symbolic
+
+    def _read_operand(self, text):
+        """One operand text: ``(operand, shape code, unknown register or
+        None)``, or the message a malformed one is rejected with."""
+        try:
+            op = self.isa.syntax.parse_operand(text)
+        except ValueError as exc:
+            return f"malformed operand: {exc}"
+        name = op.name if isinstance(op, Reg) else getattr(op, "base", None)
+        unknown = name if name is not None and self.isa.lookup_reg(name) is None else None
+        return op, _shape_code(op), unknown
+
+
+def _remember(table, key, value):
+    if len(table) >= LINE_MEMO_CAP:
+        table.clear()
+    table[key] = value
+
+
+def _shape_code(op):
+    """What form selection reads of *op* besides its value: a register's
+    name (for register constraints), else its kind and, for an
+    immediate, memory or label operand, whether it holds a Sym."""
+    kind = type(op)
+    if kind is Reg:
+        return op.name
+    if kind is Bare:
+        return Bare
+    return kind, _holds_sym(op)
 
 
 def _holds_sym(op):

@@ -199,33 +199,59 @@ class Isa:
         """Select the instruction form *operands* would assemble to.
 
         Returns ``(form, coerced_operands)`` or ``None`` when nothing
-        matches (see :meth:`match_form`).
+        matches (see :meth:`select_form`).
         """
-        form, coerced, _ = self.match_form(mnemonic, operands)
+        form, coerced, _ = self.select_form(self.form_shape(mnemonic, operands), operands)
         return None if form is None else (form, coerced)
 
-    def match_form(self, mnemonic, operands):
-        """The assembler's first-matching-form selection.
+    def form_shape(self, mnemonic, operands):
+        """The part of form selection that depends only on the operands'
+        shape (their kinds, register names and whether they hold a
+        ``Sym``), not on their integer values.
 
-        Tries each form in order: signature coercion, immediate-range
-        checks (skipped for non-integer values, so symbolic immediates
-        pass), then register constraints.  Returns ``(form,
-        coerced_operands, None)`` for the first form that fits, else
-        ``(None, None, why)`` where *why* says what refused the last
-        form (``None`` when *mnemonic* has no forms).
+        For each form of *mnemonic*, in order: ``(form, coerce,
+        refusal)``.  *coerce* is None when the operands do not fit the
+        form's signature, else the function that coerces operands of
+        this shape to it (``list`` when they fit as they are); *refusal*
+        is what refuses the form whatever the values -- the mismatch, a
+        register-constraint violation -- or None.
         """
         instr_def = self.instructions.get(mnemonic)
-        why = None
+        shape = []
         for form in instr_def.forms if instr_def else ():
             coerced = coerce_to_signature(operands, form.signature)
             if coerced is None:
-                why = "operands do not match any form"
+                shape.append((form, None, "operands do not match any form"))
                 continue
-            why = self._range_violation(form, coerced) or self._constraint_violation(
-                form, coerced
-            )
+            if all(new is old for new, old in zip(coerced, operands)):
+                coerce = list
+            else:
+                coerce = functools.partial(coerce_to_signature, signature=form.signature)
+            shape.append((form, coerce, self._constraint_violation(form, coerced)))
+        return tuple(shape)
+
+    def select_form(self, shape, operands):
+        """The assembler's first-matching-form selection: pick the first
+        form of *shape* (:meth:`form_shape`, taken for operands of this
+        shape) that *operands* fit.
+
+        A fitting form is checked for immediate ranges (skipped for
+        non-integer values, so symbolic immediates pass), then for its
+        register constraints.  Returns ``(form, coerced_operands,
+        None)`` for the first form that passes, else ``(None, None,
+        why)`` where *why* says what refused the last form (``None``
+        when there are no forms).
+        """
+        why = None
+        for form, coerce, refusal in shape:
+            if coerce is None:
+                why = refusal
+                continue
+            # Coercion only turns a Bare into a Sym-holding operand, which
+            # no range reads, so the uncoerced operands give the verdict.
+            why = self._range_violation(form, operands) or refusal
             if why is None:
-                return form, coerced, None
+                return form, coerce(operands), None
         return None, None, why
 
     def _range_violation(self, form, operands):

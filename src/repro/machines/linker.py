@@ -6,8 +6,9 @@ absolute addresses, and runtime symbols (``printf``, ``exit``, the SPARC
 ``.mul`` family) become negative builtin indices.
 
 Linking never mutates its input objects -- the discovery unit links the
-same ``init.o`` against hundreds of mutated ``main.o`` files -- and
-shares with the program every instruction that has no symbolic operand.
+same ``init.o`` against hundreds of mutated ``main.o`` files.  The
+program takes each object's instruction list whole and rebuilds only
+the instructions its relocations name.
 """
 
 from __future__ import annotations
@@ -95,31 +96,38 @@ def link(objects, isa, runtime):
     builtin_ids = {}
     for i, name in enumerate(sorted(runtime)):
         builtin_ids[name] = BUILTIN_BASE - i
+    # A code label shadows a datum or builtin of the same name, a datum a builtin.
+    addresses = {**builtin_ids, **data_labels, **code_labels}
 
-    def resolve_sym(sym, context):
-        """*context* is the referring instruction, or a description."""
-        if sym.name in code_labels:
-            return code_labels[sym.name]
-        if sym.name in data_labels:
-            return data_labels[sym.name]
-        if sym.name in builtin_ids:
-            return builtin_ids[sym.name]
-        if isinstance(context, TextInstr):
-            context = f"{context.mnemonic} at line {context.lineno}"
-        raise LinkerError(f"undefined symbol {sym.name!r} ({context})")
+    def address(name, rename, context):
+        """The value of the symbol *name* refers to in an object renamed by
+        *rename*; *context* is the referring instruction, or a description."""
+        name = rename.get(name, name)
+        value = addresses.get(name)
+        if value is None:
+            if isinstance(context, TextInstr):
+                context = f"{context.mnemonic} at line {context.lineno}"
+            raise LinkerError(f"undefined symbol {name!r} ({context})")
+        return value
 
     # Pass 3: emit resolved instructions and patch symbolic data words.
     instrs = []
     for obj, rename in zip(objects, renames):
-        for instr in obj.instrs:
-            if not instr.symbolic:
-                instrs.append(instr)
-                continue
-            operands = [
-                _resolve_operand(op, rename, resolve_sym, instr) for op in instr.operands
-            ]
-            instrs.append(
-                TextInstr(instr.mnemonic, instr.form, operands, instr.lineno, instr.text, False)
+        base = len(instrs)
+        instrs += obj.instrs
+        for index in obj.relocations:
+            instr = obj.instrs[index]
+            operands = []
+            for op in instr.operands:
+                if isinstance(op, Lab) and isinstance(op.target, Sym):
+                    op = Lab(address(op.target.name, rename, instr))
+                elif isinstance(op, Imm) and isinstance(op.value, Sym):
+                    op = Imm(address(op.value.name, rename, instr))
+                elif isinstance(op, Mem) and isinstance(op.disp, Sym):
+                    op = Mem(address(op.disp.name, rename, instr), op.base)
+                operands.append(op)
+            instrs[base + index] = TextInstr(
+                instr.mnemonic, instr.form, operands, instr.lineno, instr.text
             )
 
     cursor = isa.data_start
@@ -132,7 +140,7 @@ def link(objects, isa, runtime):
                 size, values = entry.value
                 for value in values:
                     if isinstance(value, Sym):
-                        value = resolve_sym(_renamed(value, rename), "data word")
+                        value = address(value.name, rename, "data word")
                     memory.store(cursor, value, size)
                     cursor += size
             elif entry.kind == "byte":
@@ -178,17 +186,3 @@ def _rename_map(obj, oid):
         else:
             rename[name] = f"{name}@{oid}"
     return rename
-
-
-def _renamed(sym, rename):
-    return Sym(rename.get(sym.name, sym.name))
-
-
-def _resolve_operand(op, rename, resolve_sym, instr):
-    if isinstance(op, Lab) and isinstance(op.target, Sym):
-        return Lab(resolve_sym(_renamed(op.target, rename), instr))
-    if isinstance(op, Imm) and isinstance(op.value, Sym):
-        return Imm(resolve_sym(_renamed(op.value, rename), instr))
-    if isinstance(op, Mem) and isinstance(op.disp, Sym):
-        return Mem(resolve_sym(_renamed(op.disp, rename), instr), op.base)
-    return op

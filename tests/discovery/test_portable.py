@@ -22,6 +22,7 @@ from repro.discovery.portable import (
     thaw,
 )
 from repro.discovery.samples import Corpus
+from repro.discovery.syntax import LoadImmTemplate
 from repro.machines.machine import RemoteMachine
 
 
@@ -179,3 +180,15 @@ def test_canonical_bytes_are_plain_json():
     blob = canonical_bytes(freeze({"k": (1, 2)}))
     assert blob.startswith(b"{")
     assert portable.from_canonical(blob) == freeze({"k": (1, 2)})
+
+
+def test_thaw_drops_attributes_a_dataclass_has_retired():
+    """A checkpoint written before ``LoadImmTemplate.arity`` was retired
+    still carries it; the thawed template holds exactly its fields, so
+    a resumed run's final checkpoint equals a fresh run's."""
+    template = LoadImmTemplate("movl", 0, 1)
+    payload = freeze(template)
+    payload["s"]["e"].append(["arity", 2])
+    thawed = thaw(payload)
+    assert vars(thawed) == {"mnemonic": "movl", "imm_index": 0, "reg_index": 1}
+    assert dumps(thawed) == dumps(template)

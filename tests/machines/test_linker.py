@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.discovery.samples import INIT_HEADER, make_init_source, make_main_source
 from repro.errors import LinkerError
-from repro.machines.machine import RemoteMachine
+from repro.machines.assembler import TextInstr
+from repro.machines.machine import RemoteMachine, target_names
+from repro.machines.operands import Imm, Lab, Mem, Sym
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +91,77 @@ def test_symbolic_data_word(x86):
         "movl p, %eax\nmovl (%eax), %ebx\npushl %ebx\ncall exit\n"
     )
     assert x86.execute(x86.link([obj])).exit_code == 9
+
+
+# -- relocations: only the instructions holding a Sym are rebuilt ---------
+
+#: statements giving mains of different lengths
+STATEMENTS = (
+    "a = b;",
+    "a = b; b = c; c = a;",
+    "a = b * c; b = a - c; c = b / 3; a = a + b + c;",
+)
+
+
+def ref_instrs(objects, program):
+    """Every instruction of *objects* in link order, each operand that
+    holds a Sym resolved: local labels by the object's own renaming,
+    then code labels, data labels and builtins, in that order."""
+    out = []
+    for oid, obj in enumerate(objects):
+        rename = {
+            name: name if name in obj.exports else f"{name}@{oid}"
+            for name in obj.local_label_names()
+        }
+
+        def value(sym, instr):
+            name = rename.get(sym.name, sym.name)
+            for table in (program.labels, program.data_labels, program.builtin_names):
+                if name in table:
+                    return table[name]
+            raise LinkerError(
+                f"undefined symbol {name!r} ({instr.mnemonic} at line {instr.lineno})"
+            )
+
+        for instr in obj.instrs:
+            operands = []
+            for op in instr.operands:
+                if isinstance(op, Lab) and isinstance(op.target, Sym):
+                    op = Lab(value(op.target, instr))
+                elif isinstance(op, Imm) and isinstance(op.value, Sym):
+                    op = Imm(value(op.value, instr))
+                elif isinstance(op, Mem) and isinstance(op.disp, Sym):
+                    op = Mem(value(op.disp, instr), op.base)
+                operands.append(op)
+            out.append(TextInstr(instr.mnemonic, instr.form, operands, instr.lineno, instr.text))
+    return out
+
+
+@pytest.mark.parametrize("target", target_names())
+def test_init_links_after_and_before_mains_as_the_reference(target):
+    machine = RemoteMachine(target)
+    init = machine.assemble(machine.compile_c(make_init_source({"a": 3, "b": 5, "c": 7})))
+    assert init._obj.relocations
+    mains = [
+        machine.assemble(
+            machine.compile_c(make_main_source(statement), headers={"init.h": INIT_HEADER})
+        )
+        for statement in STATEMENTS
+    ]
+    assert len({len(main._obj.instrs) for main in mains}) == len(mains)
+    for main in mains:
+        for order in ([main, init], [init, main]):
+            program = machine.link(order)._program
+            assert program.instrs == ref_instrs([h._obj for h in order], program)
+
+
+@pytest.mark.parametrize("position", [0, 1])
+def test_undefined_symbol_names_its_relocated_instruction(x86, position):
+    helper = x86.assemble(".text\n.globl helper\nhelper: movl $3, %eax\nL1: jmp L1\nret\n")
+    main = x86.assemble(
+        ".data\nv: .long 1\n.text\n.globl main\nmain: movl v, %eax\nnop\n"
+        "call helper\npushl %eax\ncall nowhere\ncall exit\n"
+    )
+    order = [main, helper] if position == 0 else [helper, main]
+    with pytest.raises(LinkerError, match=r"^undefined symbol 'nowhere' \(call at line 9\)$"):
+        x86.link(order)
